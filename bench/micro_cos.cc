@@ -8,11 +8,13 @@
 //
 // BM_CosInsertOnly isolates the scheduler-side insert cost (the lock-free
 // scheduler's throughput ceiling reported by the paper). BM_EbrPin and
-// BM_Semaphore quantify the fixed overheads of the supporting machinery.
+// BM_Semaphore quantify the fixed overheads of the supporting machinery;
+// BM_SemaphorePingPong times the contended scheduler-to-worker hand-off.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/semaphore.h"
@@ -132,6 +134,23 @@ void BM_Semaphore(benchmark::State& state) {
   }
 }
 
+// Two threads hand one permit back and forth through a pair of semaphores;
+// one iteration is a full round trip. Every acquire races the other side's
+// release, so this exercises the park/wake path BM_Semaphore never reaches.
+void BM_SemaphorePingPong(benchmark::State& state) {
+  psmr::Semaphore ping(0);
+  psmr::Semaphore pong(0);
+  std::thread partner([&] {
+    while (ping.acquire()) pong.release();
+  });
+  for (auto _ : state) {
+    ping.release();
+    pong.acquire();
+  }
+  ping.close();
+  partner.join();
+}
+
 void BM_ConflictCheck(benchmark::State& state) {
   const Command a = psmr::LinkedListService::make_contains(1);
   const Command b = psmr::LinkedListService::make_add(2);
@@ -172,6 +191,7 @@ BENCHMARK(BM_CosInsertKeyed)
 BENCHMARK(BM_EbrPin)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_EbrRetireFlushCycle)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_Semaphore)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_SemaphorePingPong)->Unit(benchmark::kNanosecond)->UseRealTime();
 BENCHMARK(BM_ConflictCheck)->Unit(benchmark::kNanosecond);
 
 BENCHMARK_MAIN();

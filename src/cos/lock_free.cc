@@ -63,9 +63,7 @@ bool LockFreeCos::insert_batch(std::span<const Command> batch) {
   // Chunk by capacity so the space acquisition can always complete.
   while (!batch.empty()) {
     const std::size_t take = std::min(batch.size(), max_size_);
-    for (std::size_t i = 0; i < take; ++i) {
-      if (!space_.acquire()) return false;  // closed
-    }
+    if (!space_.acquire(static_cast<std::ptrdiff_t>(take))) return false;
     const int ready_nodes = lf_insert_batch(batch.first(take));
     cos_metrics().inserts.inc(take);
     if (ready_nodes > 0) {
@@ -459,8 +457,12 @@ LockFreeCos::Node* LockFreeCos::lf_get() {
       auto guard = ebr_.pin();
       Node* cur = head_.load(std::memory_order_seq_cst);
       while (cur != nullptr) {
+        // Read before reserving: only a node seen in rdy is worth the
+        // locked CAS. Most of the list is wtg, exe or logically removed, and
+        // a plain load keeps the workers from bouncing those cache lines.
         std::uint8_t expected = kRdy;
-        if (cur->st.compare_exchange_strong(expected, kExe,
+        if (cur->st.load(std::memory_order_seq_cst) == kRdy &&
+            cur->st.compare_exchange_strong(expected, kExe,
                                             std::memory_order_seq_cst)) {
           return cur;
         }

@@ -6,7 +6,8 @@
 //    `ready` parks get() while no command is ready (Alg. 5).
 //  - A lock-free layer implements the graph. Nodes carry an atomic state
 //    traversed in one direction (wtg -> rdy -> exe -> rmd); get() reserves a
-//    node with a single CAS (rdy -> exe); remove() is a *logical* removal
+//    node with a single CAS (rdy -> exe), tried only on nodes it reads as
+//    rdy; remove() is a *logical* removal
 //    (store rmd) plus readiness tests on dependents; *physical* removal is
 //    lazy, performed by the (single) insert thread when its traversal finds
 //    a logically removed node — the paper's helpedRemove.

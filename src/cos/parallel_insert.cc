@@ -82,9 +82,9 @@ bool ParallelInsertCos::insert_batch(std::span<const Command> batch) {
 }
 
 bool ParallelInsertCos::insert_chunk(std::span<const Command> chunk) {
-  // 1. Admission: one window permit per command, in delivery order.
-  for (std::size_t i = 0; i < chunk.size(); ++i) {
-    if (!space_.acquire()) return false;  // closed
+  // 1. Admission: the chunk's window permits, taken in one acquire.
+  if (!space_.acquire(static_cast<std::ptrdiff_t>(chunk.size()))) {
+    return false;  // closed
   }
   // 2. Allocate and stamp arena slots. A permit guarantees a free slot:
   //    remove() returns the slot to the free list before releasing space_.

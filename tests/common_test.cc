@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -108,6 +110,116 @@ TEST(Semaphore, ManyProducersManyConsumersConserved) {
   sem.close();
   for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
   EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
+}
+
+TEST(Semaphore, MultiPermitAcquireWaitsForAllPermits) {
+  Semaphore sem(1);
+  std::atomic<bool> acquired{false};
+  std::thread t([&] {
+    EXPECT_TRUE(sem.acquire(4));
+    acquired.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(acquired.load());
+  // A partial release must neither wake the waiter with a short grant nor
+  // let it hold the permits it can already see.
+  sem.release(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(acquired.load());
+  EXPECT_EQ(sem.available(), 3);
+  sem.release();
+  t.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_EQ(sem.available(), 0);
+}
+
+TEST(Semaphore, CloseWakesParkedMultiPermitWaiter) {
+  Semaphore sem(2);
+  std::atomic<bool> returned{false};
+  std::thread t([&] {
+    EXPECT_FALSE(sem.acquire(3));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  sem.close();
+  t.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_FALSE(sem.acquire(1));
+}
+
+TEST(Semaphore, MixedSizeProducersConsumersConserved) {
+  // Producers release 1..3 permits at a time and consumers take 1..3 at a
+  // time. Once the producers are done, the consumers must drain the count
+  // until every one of them asks for more than is left — a lost wake-up
+  // leaves a consumer parked beside permits it could take — and every
+  // permit is either consumed or still available.
+  Semaphore sem(0);
+  constexpr int kProducers = 3;
+  constexpr int kConsumers = 3;
+  constexpr int kRounds = 1500;  // sizes cycle 1,2,3: 2 permits per round
+  std::atomic<int> consumed{0};
+  std::array<std::atomic<int>, kConsumers> wants{};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) sem.release(1 + i % 3);
+    });
+  }
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = c;; ++i) {
+        const int n = 1 + i % 3;
+        wants[static_cast<size_t>(c)].store(n);
+        if (!sem.acquire(n)) return;
+        consumed.fetch_add(n);
+      }
+    });
+  }
+  for (int p = 0; p < kProducers; ++p) threads[static_cast<size_t>(p)].join();
+  const int released = kProducers * kRounds * 2;
+  const auto drained = [&] {
+    const auto left = sem.available();
+    if (consumed.load() + left != released) return false;  // mid-acquire
+    return std::all_of(wants.begin(), wants.end(),
+                       [&](const std::atomic<int>& w) { return w > left; });
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!drained() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(drained()) << "consumed " << consumed.load() << " available "
+                         << sem.available() << " of " << released;
+  sem.close();
+  for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
+  EXPECT_EQ(consumed.load() + sem.available(), released);
+}
+
+TEST(Semaphore, BlockCountersMoveOnlyWhenCallersPark) {
+  Counter blocks;
+  Counter blocked_ns;
+  Semaphore sem(0);
+  sem.instrument(&blocks, &blocked_ns);
+  // Every acquire finds its permits: the fast path leaves the counters at 0.
+  sem.release(10);
+  EXPECT_TRUE(sem.acquire());
+  EXPECT_TRUE(sem.acquire(4));
+  EXPECT_TRUE(sem.try_acquire());
+  EXPECT_TRUE(sem.acquire(4));
+  EXPECT_EQ(blocks.value(), 0u);
+  EXPECT_EQ(blocked_ns.value(), 0u);
+  // One caller parks once, however many wake-ups it takes.
+  std::thread t([&] { EXPECT_TRUE(sem.acquire(2)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  sem.release();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  sem.release();
+  t.join();
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(blocks.value(), 1u);
+    EXPECT_GT(blocked_ns.value(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
