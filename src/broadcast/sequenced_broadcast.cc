@@ -63,11 +63,22 @@ std::uint64_t SequencedBroadcast::last_delivered() const {
 }
 
 bool SequencedBroadcast::submit(const std::vector<Command>& cmds) {
-  MutexLock lock(mu_);
-  if (leader_of(view_) != index_ || view_changing_) return false;
-  if (pending_.empty()) pending_since_ns_ = now_ns();
-  pending_.insert(pending_.end(), cmds.begin(), cmds.end());
-  if (pending_.size() >= config_.batch_max) propose_locked();
+  bool arm_timer = false;
+  {
+    MutexLock lock(mu_);
+    if (leader_of(view_) != index_ || view_changing_) return false;
+    const bool was_empty = pending_.empty();
+    if (was_empty) pending_since_ns_ = now_ns();
+    pending_.insert(pending_.end(), cmds.begin(), cmds.end());
+    if (pending_.size() >= config_.batch_max) {
+      propose_locked();
+    } else {
+      arm_timer = was_empty;
+    }
+  }
+  // A batch opened: wake the timer once so it sleeps until this batch's
+  // deadline rather than the next tick.
+  if (arm_timer) timer_cv_.notify_one();
   return true;
 }
 
@@ -376,18 +387,33 @@ void SequencedBroadcast::adopt_new_view_locked(const NewViewMsg& nv) {
 }
 
 void SequencedBroadcast::timer_loop() {
+  const std::uint64_t tick_ns = config_.tick_interval_ms * 1'000'000ull;
+  const std::uint64_t batch_timeout_ns = config_.batch_timeout_us * 1000ull;
   MutexLock lock(mu_);
+  std::uint64_t next_tick_ns = now_ns() + tick_ns;
   while (!stopping_) {
-    timer_cv_.wait_for(mu_,
-                       std::chrono::milliseconds(config_.tick_interval_ms));
+    // Sleep until the next tick, or until the open batch is due if that is
+    // sooner. submit() wakes us when a batch opens, which re-arms the wait.
+    bool am_leader = leader_of(view_) == index_ && !view_changing_;
+    std::uint64_t wake_ns = next_tick_ns;
+    if (am_leader && !pending_.empty()) {
+      wake_ns = std::min(wake_ns, pending_since_ns_ + batch_timeout_ns);
+    }
+    std::uint64_t now = now_ns();
+    if (wake_ns > now) {
+      timer_cv_.wait_for(mu_, std::chrono::nanoseconds(wake_ns - now));
+    }
     if (stopping_) return;
-    const std::uint64_t now = now_ns();
-    const bool am_leader = leader_of(view_) == index_ && !view_changing_;
+    now = now_ns();
+    am_leader = leader_of(view_) == index_ && !view_changing_;
+    if (am_leader && !pending_.empty() &&
+        now - pending_since_ns_ >= batch_timeout_ns) {
+      propose_locked();
+    }
+    if (now < next_tick_ns) continue;
+    // The tick: heartbeats and failure detection.
+    next_tick_ns = now + tick_ns;
     if (am_leader) {
-      if (!pending_.empty() &&
-          now - pending_since_ns_ >= config_.batch_timeout_us * 1000ull) {
-        propose_locked();
-      }
       if (now - last_heartbeat_sent_ns_ >=
           config_.heartbeat_interval_ms * 1'000'000ull) {
         metrics_.heartbeats.inc();

@@ -7,11 +7,14 @@
 //
 // Normal case:
 //   submit(cmds) at the leader appends to the pending batch; the batch is
-//   proposed when it reaches batch_max commands or batch_timeout elapses.
-//   The leader assigns the next sequence number and sends ACCEPT(view, seq,
-//   batch); replicas log it and answer ACCEPTED; on a majority (counting
-//   itself) the leader sends COMMIT; every replica delivers committed
-//   batches in sequence order (gap-free) through the deliver callback.
+//   proposed when it reaches batch_max commands or batch_timeout_us after
+//   its first command, whichever comes first. The timer sleeps until that
+//   deadline, so batch_timeout_us is honoured to timer precision, not
+//   rounded up to a tick. The leader assigns the next sequence number and
+//   sends ACCEPT(view, seq, batch); replicas log it and answer ACCEPTED; on
+//   a majority (counting itself) the leader sends COMMIT; every replica
+//   delivers committed batches in sequence order (gap-free) through the
+//   deliver callback.
 //
 // Leader failure:
 //   The leader heartbeats when idle. A replica that hears nothing for
@@ -30,9 +33,10 @@
 // each batch is delivered at most once per replica.
 //
 // Threading: handle() is invoked by the network endpoint dispatcher;
-// submit() by any thread; an internal timer thread drives batching,
-// heartbeats and failure detection. All state is guarded by one mutex; the
-// deliver callback is invoked while *not* holding it, in delivery order.
+// submit() by any thread; an internal timer thread flushes batches at
+// their deadline and, every tick_interval_ms, drives heartbeats and
+// failure detection. All state is guarded by one mutex; the deliver
+// callback is invoked while *not* holding it, in delivery order.
 #pragma once
 
 #include <atomic>
@@ -55,9 +59,13 @@ class SequencedBroadcast {
  public:
   struct Config {
     std::size_t batch_max = 64;
+    // A batch that has not filled is proposed this long after its first
+    // command, to timer precision.
     std::uint64_t batch_timeout_us = 500;
     std::uint64_t heartbeat_interval_ms = 10;
     std::uint64_t leader_timeout_ms = 100;
+    // Paces heartbeats and failure detection only; it does not delay
+    // batches.
     std::uint64_t tick_interval_ms = 2;
     // Delivered slots retained for view changes / laggards; a replica that
     // falls further behind than this needs state transfer (see on_gap).

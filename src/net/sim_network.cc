@@ -66,9 +66,13 @@ void SimNetwork::send(NodeId from, NodeId to, MessagePtr msg) {
   auto& last = last_delivery_[{from, to}];
   deliver_at = std::max(deliver_at, last + 1);
   last = deliver_at;
+  // The delivery thread sleeps until the head's deadline; only a message
+  // that becomes the new head needs to wake it.
+  const bool new_head =
+      queue_.empty() || deliver_at < queue_.top().deliver_at_ns;
   queue_.push({deliver_at, next_sequence_++, from, to, std::move(msg)});
   metrics_.inflight.add(1);
-  cv_.notify_one();
+  if (new_head) cv_.notify_one();
 }
 
 bool SimNetwork::link_up_locked(NodeId a, NodeId b) const {

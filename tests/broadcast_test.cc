@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "broadcast/sequenced_broadcast.h"
+#include "common/stopwatch.h"
 #include "net/sim_network.h"
 
 namespace psmr {
@@ -306,6 +307,53 @@ TEST(Broadcast, GapHandlerFiresWhenPeerIsFarAhead) {
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   h.engine(2).handle(h.engine_endpoint(0), make_message<HeartbeatMsg>(0, 5));
   EXPECT_EQ(gap_count.load(), 1);
+}
+
+// A 1 s tick with a leader timeout far above it: no view change starts, and
+// a batch that waited for the tick would take a whole second.
+SequencedBroadcast::Config slow_tick_broadcast() {
+  SequencedBroadcast::Config config = fast_broadcast();
+  config.tick_interval_ms = 1000;
+  config.heartbeat_interval_ms = 1000;
+  config.leader_timeout_ms = 60'000;
+  return config;
+}
+
+constexpr std::uint64_t kPromptNs = 200'000'000;  // 200 ms
+
+TEST(Broadcast, LoneSubmitIsProposedAtBatchTimeoutNotTick) {
+  BroadcastHarness h(3, fast_net(), slow_tick_broadcast());
+  const Stopwatch since_submit;
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 1));
+  EXPECT_LT(since_submit.elapsed_ns(), kPromptNs);
+}
+
+TEST(Broadcast, FullBatchIsProposedWithoutWaiting) {
+  auto config = slow_tick_broadcast();
+  config.batch_timeout_us = 10'000'000;  // 10 s: only batch_max can flush
+  BroadcastHarness h(3, fast_net(), config);
+  std::vector<Command> full;
+  for (std::size_t i = 0; i < config.batch_max; ++i) full.push_back(cmd(i));
+  const Stopwatch since_submit;
+  ASSERT_TRUE(h.engine(0).submit(full));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, full.size()));
+  EXPECT_LT(since_submit.elapsed_ns(), kPromptNs);
+}
+
+TEST(Broadcast, BatchDeadlineReArmsForEachBatch) {
+  BroadcastHarness h(3, fast_net(), slow_tick_broadcast());
+  // Each submit waits for the previous delivery, so the two are spaced far
+  // wider than batch_timeout_us and each opens its own batch.
+  for (std::uint64_t tag = 1; tag <= 2; ++tag) {
+    const Stopwatch since_submit;
+    ASSERT_TRUE(h.engine(0).submit({cmd(tag)}));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, tag));
+    EXPECT_LT(since_submit.elapsed_ns(), kPromptNs) << "submit " << tag;
+  }
+  const auto delivered = h.delivered(1);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_NE(delivered[0].first, delivered[1].first);
 }
 
 TEST(Broadcast, CascadedViewChangeSkipsDeadLeaders) {

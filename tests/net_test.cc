@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "net/sim_network.h"
 
 namespace psmr {
@@ -230,6 +232,47 @@ TEST(SimNetwork, ShutdownIsIdempotentAndStopsDelivery) {
   net.send(a, b, make_message<IntMsg>(1));  // silently ignored
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(count.load(), 0);
+}
+
+TEST(SimNetwork, EarlierDeadlineIsNotHeldBehindQueueHead) {
+  // Latencies are drawn from [0, 100 ms). With seed 8 the first message is
+  // due at ~82 ms and the earliest of the rest at ~3 ms. The first is sent
+  // alone so the delivery thread goes to sleep until its deadline; the
+  // later sends with earlier deadlines must wake it.
+  SimNetwork::Config config;
+  config.base_latency_us = 0;
+  config.jitter_us = 100'000;
+  config.seed = 8;
+  constexpr std::size_t kLinks = 32;
+  std::mutex mu;
+  std::vector<std::uint64_t> arrivals;
+  SimNetwork net(config);
+  const NodeId sender = net.add_endpoint([](NodeId, MessagePtr) {});
+  std::vector<NodeId> receivers;
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    receivers.push_back(net.add_endpoint([&](NodeId, MessagePtr) {
+      std::lock_guard lock(mu);
+      arrivals.push_back(now_ns());
+    }));
+  }
+  const std::uint64_t sent_at = now_ns();
+  net.send(sender, receivers[0], make_message<IntMsg>(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  for (std::size_t i = 1; i < kLinks; ++i) {
+    net.send(sender, receivers[i], make_message<IntMsg>(0));
+  }
+  for (int i = 0; i < 400; ++i) {
+    {
+      std::lock_guard lock(mu);
+      if (arrivals.size() == kLinks) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::lock_guard lock(mu);
+  ASSERT_EQ(arrivals.size(), kLinks);
+  const auto [first, last] = std::minmax_element(arrivals.begin(), arrivals.end());
+  EXPECT_LT(*first - sent_at, 30'000'000u);
+  EXPECT_LT(*last - sent_at, 130'000'000u);
 }
 
 TEST(SimNetwork, ManySendersStress) {
