@@ -48,24 +48,30 @@ struct AcceptMsg final : Message {
 };
 
 struct AcceptedMsg final : Message {
-  AcceptedMsg(std::uint64_t v, std::uint64_t s)
-      : Message(msg::kAccepted), view(v), seq(s) {}
+  AcceptedMsg(std::uint64_t v, std::uint64_t s, std::uint64_t d)
+      : Message(msg::kAccepted), view(v), seq(s), delivered(d) {}
   std::uint64_t view;
   std::uint64_t seq;
+  std::uint64_t delivered;  // sender's gap-free delivery watermark
 };
 
 struct CommitMsg final : Message {
-  CommitMsg(std::uint64_t v, std::uint64_t s)
-      : Message(msg::kCommit), view(v), seq(s) {}
+  CommitMsg(std::uint64_t v, std::uint64_t s, std::uint64_t st)
+      : Message(msg::kCommit), view(v), seq(s), stable(st) {}
   std::uint64_t view;
   std::uint64_t seq;
+  std::uint64_t stable;  // every replica has delivered every slot <= this
 };
 
 struct HeartbeatMsg final : Message {
-  HeartbeatMsg(std::uint64_t v, std::uint64_t committed)
-      : Message(msg::kHeartbeat), view(v), committed_up_to(committed) {}
+  HeartbeatMsg(std::uint64_t v, std::uint64_t committed, std::uint64_t st)
+      : Message(msg::kHeartbeat),
+        view(v),
+        committed_up_to(committed),
+        stable(st) {}
   std::uint64_t view;
   std::uint64_t committed_up_to;
+  std::uint64_t stable;  // as in CommitMsg
 };
 
 // A replica's knowledge of one log slot, shipped during view changes.

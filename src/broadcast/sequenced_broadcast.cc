@@ -15,6 +15,7 @@ SequencedBroadcast::SequencedBroadcast(Transport& net, NodeId self, int index,
       replicas_(std::move(replicas)),
       config_(config),
       deliver_(std::move(deliver)),
+      peer_delivered_(replicas_.size(), 0),
       metrics_{MetricsRegistry::global().counter("broadcast.proposals"),
                MetricsRegistry::global().counter("broadcast.delivered_batches"),
                MetricsRegistry::global().counter(
@@ -60,6 +61,11 @@ std::uint64_t SequencedBroadcast::view() const {
 std::uint64_t SequencedBroadcast::last_delivered() const {
   MutexLock lock(mu_);
   return last_delivered_;
+}
+
+std::size_t SequencedBroadcast::log_slots() const {
+  MutexLock lock(mu_);
+  return log_.size();
 }
 
 bool SequencedBroadcast::submit(const std::vector<Command>& cmds) {
@@ -108,7 +114,8 @@ void SequencedBroadcast::propose_locked() {
     // Single-replica deployments (n = 1): self-ack is already a majority.
     if (slot.acks.size() * 2 > replicas_.size()) {
       slot.committed = true;
-      broadcast_to_replicas_locked(make_message<CommitMsg>(view_, seq));
+      broadcast_to_replicas_locked(
+          make_message<CommitMsg>(view_, seq, stable_));
     }
     last_heartbeat_sent_ns_ = now_ns();  // proposals count as liveness
   }
@@ -120,10 +127,7 @@ void SequencedBroadcast::try_deliver_locked() {
   delivering_ = true;
   while (true) {
     auto it = log_.find(last_delivered_ + 1);
-    if (it == log_.end() || !it->second.committed || it->second.delivered) {
-      break;
-    }
-    it->second.delivered = true;
+    if (it == log_.end() || !it->second.committed) break;
     const std::uint64_t seq = ++last_delivered_;
     std::vector<Command> batch = it->second.batch;  // keep for view changes
     metrics_.delivered_batches.inc();
@@ -134,20 +138,49 @@ void SequencedBroadcast::try_deliver_locked() {
     mu_.unlock();
     if (!batch.empty()) deliver_(seq, batch);
     mu_.lock();
-    // Prune ancient slots beyond the retention window; a replica lagging
-    // past this needs state transfer (install_checkpoint).
-    while (!log_.empty() &&
-           log_.begin()->first + config_.retained_slots < last_delivered_) {
-      log_.erase(log_.begin());
-    }
   }
   delivering_ = false;
+  advance_stable_locked();
+  prune_locked();
   // Lag behind the highest slot we know of (committed or not); 0 when the
   // log is fully delivered or empty.
   const std::uint64_t top = log_.empty() ? last_delivered_
                                          : std::max(log_.rbegin()->first,
                                                     last_delivered_);
   metrics_.seq_lag.set(static_cast<std::int64_t>(top - last_delivered_));
+}
+
+void SequencedBroadcast::advance_stable_locked() {
+  std::uint64_t stable = last_delivered_;
+  for (std::size_t i = 0; i < peer_delivered_.size(); ++i) {
+    if (static_cast<int>(i) != index_) {
+      stable = std::min(stable, peer_delivered_[i]);
+    }
+  }
+  stable_ = std::max(stable_, stable);
+}
+
+void SequencedBroadcast::note_stable_locked(int from_index,
+                                            std::uint64_t stable) {
+  // Every replica, this one included, has delivered up to `stable` — unless
+  // this is a restarted incarnation whose earlier self did. Those slots are
+  // gone everywhere, so waiting for them is futile.
+  if (stable > last_delivered_) report_gap_locked(from_index);
+  stable_ = std::max(stable_, stable);
+  prune_locked();
+}
+
+void SequencedBroadcast::prune_locked() {
+  const std::uint64_t stable = std::min(stable_, last_delivered_);
+  while (!log_.empty()) {
+    const std::uint64_t seq = log_.begin()->first;
+    // A replica lagging past the retained_slots cap needs state transfer
+    // (install_checkpoint).
+    if (seq > stable && seq + config_.retained_slots >= last_delivered_) {
+      break;
+    }
+    log_.erase(log_.begin());
+  }
 }
 
 void SequencedBroadcast::handle(NodeId from, const MessagePtr& m) {
@@ -165,7 +198,7 @@ void SequencedBroadcast::handle(NodeId from, const MessagePtr& m) {
       on_accepted(from_index, message_as<AcceptedMsg>(m));
       break;
     case msg::kCommit:
-      on_commit(message_as<CommitMsg>(m));
+      on_commit(from_index, message_as<CommitMsg>(m));
       break;
     case msg::kHeartbeat:
       on_heartbeat(from_index, message_as<HeartbeatMsg>(m));
@@ -203,40 +236,47 @@ void SequencedBroadcast::on_accept(int from_index, const AcceptMsg& m) {
   }
   last_leader_activity_ns_ = now_ns();
   maybe_report_gap_locked(from_index, m.seq);
-  Slot& slot = log_[m.seq];
-  if (!slot.delivered) {
+  if (m.seq > last_delivered_) {  // else delivered here, maybe pruned
+    Slot& slot = log_[m.seq];
     slot.view = m.view;
     slot.batch = m.batch;
   }
   net_.send(self_, replicas_[static_cast<std::size_t>(leader_of(view_))],
-            make_message<AcceptedMsg>(m.view, m.seq));
+            make_message<AcceptedMsg>(m.view, m.seq, last_delivered_));
 }
 
 void SequencedBroadcast::on_accepted(int from_index, const AcceptedMsg& m) {
   MutexLock lock(mu_);
+  // A watermark is a valid lower bound whatever view it was sent in.
+  std::uint64_t& peer = peer_delivered_[static_cast<std::size_t>(from_index)];
+  peer = std::max(peer, m.delivered);
+  advance_stable_locked();
+  prune_locked();
   if (m.view != view_ || leader_of(view_) != index_) return;
   auto it = log_.find(m.seq);
-  if (it == log_.end()) return;
+  if (it == log_.end()) return;  // pruned: the sender has delivered it
   Slot& slot = it->second;
   if (slot.committed) {
     // Late ACCEPTED (typically after a view change) for a slot we already
     // committed: the sender may still be missing the COMMIT, so re-send it
     // point-to-point.
     net_.send(self_, replicas_[static_cast<std::size_t>(from_index)],
-              make_message<CommitMsg>(view_, m.seq));
+              make_message<CommitMsg>(view_, m.seq, stable_));
     return;
   }
   slot.acks.insert(from_index);
-  if (!slot.committed && slot.acks.size() * 2 > replicas_.size()) {
+  if (slot.acks.size() * 2 > replicas_.size()) {
     slot.committed = true;
-    broadcast_to_replicas_locked(make_message<CommitMsg>(view_, m.seq));
+    broadcast_to_replicas_locked(
+        make_message<CommitMsg>(view_, m.seq, stable_));
     try_deliver_locked();
   }
 }
 
-void SequencedBroadcast::on_commit(const CommitMsg& m) {
+void SequencedBroadcast::on_commit(int from_index, const CommitMsg& m) {
   MutexLock lock(mu_);
   last_leader_activity_ns_ = now_ns();
+  note_stable_locked(from_index, m.stable);
   auto it = log_.find(m.seq);
   if (it == log_.end() || it->second.batch.empty()) {
     // Links are reliable FIFO, so the ACCEPT always precedes the COMMIT on
@@ -258,14 +298,21 @@ void SequencedBroadcast::on_heartbeat(int from_index, const HeartbeatMsg& m) {
     last_leader_activity_ns_ = now_ns();
   }
   maybe_report_gap_locked(from_index, m.committed_up_to);
+  note_stable_locked(from_index, m.stable);
 }
 
-// Requires mu_. Fires the gap handler (throttled) when a peer demonstrably
-// has history we can no longer obtain through ordinary delivery.
+// Requires mu_. Fires the gap handler when a peer is further ahead than the
+// retained_slots cap lets ordinary delivery catch up.
 void SequencedBroadcast::maybe_report_gap_locked(int from_index,
                                                  std::uint64_t their_seq) {
-  if (!on_gap_) return;
   if (their_seq <= last_delivered_ + config_.retained_slots) return;
+  report_gap_locked(from_index);
+}
+
+// Requires mu_. Fires the gap handler (throttled): the peer demonstrably
+// has history we can no longer obtain through ordinary delivery.
+void SequencedBroadcast::report_gap_locked(int from_index) {
+  if (!on_gap_) return;
   const std::uint64_t now = now_ns();
   if (now - last_gap_report_ns_ <
       config_.gap_report_interval_ms * 1'000'000ull) {
@@ -351,8 +398,8 @@ void SequencedBroadcast::process_view_change_locked(int from_index,
   std::uint64_t max_seq = last_delivered_;
   for (auto& [seq, entry] : merged) {
     max_seq = std::max(max_seq, seq);
+    if (seq <= last_delivered_) continue;
     Slot& slot = log_[seq];
-    if (slot.delivered) continue;
     slot.view = view_;
     slot.batch = entry.batch;
     slot.acks = {index_};
@@ -377,12 +424,15 @@ void SequencedBroadcast::adopt_new_view_locked(const NewViewMsg& nv) {
   last_leader_activity_ns_ = now_ns();
   const int leader = leader_of(view_);
   for (const auto& entry : nv.log) {
-    Slot& slot = log_[entry.seq];
-    if (slot.delivered) continue;
-    slot.view = view_;
-    slot.batch = entry.batch;
+    // A slot delivered here (perhaps pruned since) carries the committed
+    // value, which the new view re-proposes: acknowledge it too.
+    if (entry.seq > last_delivered_) {
+      Slot& slot = log_[entry.seq];
+      slot.view = view_;
+      slot.batch = entry.batch;
+    }
     net_.send(self_, replicas_[static_cast<std::size_t>(leader)],
-              make_message<AcceptedMsg>(view_, entry.seq));
+              make_message<AcceptedMsg>(view_, entry.seq, last_delivered_));
   }
 }
 
@@ -418,7 +468,7 @@ void SequencedBroadcast::timer_loop() {
           config_.heartbeat_interval_ms * 1'000'000ull) {
         metrics_.heartbeats.inc();
         broadcast_to_replicas_locked(
-            make_message<HeartbeatMsg>(view_, last_delivered_));
+            make_message<HeartbeatMsg>(view_, last_delivered_, stable_));
         last_heartbeat_sent_ns_ = now;
       }
     } else {

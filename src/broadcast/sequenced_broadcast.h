@@ -16,6 +16,17 @@
 //   delivers committed batches in sequence order (gap-free) through the
 //   deliver callback.
 //
+// Log retention:
+//   ACCEPTED(seq, delivered) carries the sender's delivery watermark. The
+//   leader keeps each peer's highest report and derives stable = min(its own
+//   watermark, every peer's); COMMIT(seq, stable) and HEARTBEAT carry it.
+//   Every replica erases the slots <= min(stable, its own watermark): no
+//   replica can need them again. Watermarks only grow, so reports from
+//   earlier views stay valid lower bounds. While a replica is down or cut
+//   off, stable stalls and retained_slots caps the log instead. A replica
+//   told a stable beyond its own watermark is a restarted incarnation and
+//   asks for state transfer (see GapFn).
+//
 // Leader failure:
 //   The leader heartbeats when idle. A replica that hears nothing for
 //   leader_timeout starts view change v+1: it sends VIEWCHANGE(v+1, its
@@ -67,8 +78,9 @@ class SequencedBroadcast {
     // Paces heartbeats and failure detection only; it does not delay
     // batches.
     std::uint64_t tick_interval_ms = 2;
-    // Delivered slots retained for view changes / laggards; a replica that
-    // falls further behind than this needs state transfer (see on_gap).
+    // Cap on delivered slots kept for view changes and laggards while some
+    // replica is not delivering (otherwise slots go once stable). A replica
+    // that falls further behind than this needs state transfer (see on_gap).
     std::uint64_t retained_slots = 1024;
     std::uint64_t gap_report_interval_ms = 200;
   };
@@ -80,8 +92,9 @@ class SequencedBroadcast {
                                        const std::vector<Command>& batch)>;
 
   // Invoked (throttled) when a peer's traffic shows this replica lags
-  // beyond the retention window and ordinary delivery can no longer catch
-  // it up; `peer` is a replica that has the missing history and
+  // beyond the retention window, or reports a stable slot this replica has
+  // not delivered (a restarted incarnation), so ordinary delivery can no
+  // longer catch it up; `peer` is a replica that has the missing history and
   // `our_delivered` is this replica's delivery watermark. The SMR layer
   // reacts with a state-transfer request. NOTE: invoked with the engine's
   // internal mutex held — the handler must not call back into this engine.
@@ -121,6 +134,8 @@ class SequencedBroadcast {
   bool is_leader() const;
   std::uint64_t view() const;
   std::uint64_t last_delivered() const;
+  // Slots currently held in the log (observability and tests).
+  std::size_t log_slots() const;
 
  private:
   struct Slot {
@@ -128,7 +143,6 @@ class SequencedBroadcast {
     std::vector<Command> batch;
     std::set<int> acks;  // replica indices that ACCEPTED (leader only)
     bool committed = false;
-    bool delivered = false;
   };
 
   int leader_of(std::uint64_t v) const {
@@ -151,6 +165,14 @@ class SequencedBroadcast {
   // the static analysis and the rank checker both track it).
   void propose_locked() PSMR_REQUIRES(mu_);
   void try_deliver_locked() PSMR_REQUIRES(mu_);
+  // Raises stable_ to min(last_delivered_, every peer's reported watermark).
+  void advance_stable_locked() PSMR_REQUIRES(mu_);
+  // Adopts a leader's stable watermark (see the header comment).
+  void note_stable_locked(int from_index, std::uint64_t stable)
+      PSMR_REQUIRES(mu_);
+  // Erases slots every replica has delivered, and slots beyond the
+  // retained_slots cap.
+  void prune_locked() PSMR_REQUIRES(mu_);
   void broadcast_to_replicas_locked(const MessagePtr& m) PSMR_REQUIRES(mu_);
   void start_view_change_locked(std::uint64_t target_view)
       PSMR_REQUIRES(mu_);
@@ -162,10 +184,11 @@ class SequencedBroadcast {
 
   void on_accept(int from_index, const AcceptMsg& m);
   void on_accepted(int from_index, const AcceptedMsg& m);
-  void on_commit(const CommitMsg& m);
+  void on_commit(int from_index, const CommitMsg& m);
   void on_heartbeat(int from_index, const HeartbeatMsg& m);
   void maybe_report_gap_locked(int from_index, std::uint64_t their_seq)
       PSMR_REQUIRES(mu_);
+  void report_gap_locked(int from_index) PSMR_REQUIRES(mu_);
 
   void timer_loop();
 
@@ -185,6 +208,10 @@ class SequencedBroadcast {
   // gap-free delivered slot.
   std::uint64_t next_seq_ PSMR_GUARDED_BY(mu_) = 1;
   std::uint64_t last_delivered_ PSMR_GUARDED_BY(mu_) = 0;
+  // Highest delivery watermark each replica (by index) reported in an
+  // ACCEPTED; stable_: every replica has delivered every slot <= it.
+  std::vector<std::uint64_t> peer_delivered_ PSMR_GUARDED_BY(mu_);
+  std::uint64_t stable_ PSMR_GUARDED_BY(mu_) = 0;
   std::map<std::uint64_t, Slot> log_ PSMR_GUARDED_BY(mu_);
   std::vector<Command> pending_ PSMR_GUARDED_BY(mu_);
   std::uint64_t pending_since_ns_ PSMR_GUARDED_BY(mu_) = 0;

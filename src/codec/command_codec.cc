@@ -118,18 +118,21 @@ void encode_message(const Message& m, ByteWriter& out) {
       const auto& accepted = static_cast<const AcceptedMsg&>(m);
       out.put_varint(accepted.view);
       out.put_varint(accepted.seq);
+      out.put_varint(accepted.delivered);
       break;
     }
     case msg::kCommit: {
       const auto& commit = static_cast<const CommitMsg&>(m);
       out.put_varint(commit.view);
       out.put_varint(commit.seq);
+      out.put_varint(commit.stable);
       break;
     }
     case msg::kHeartbeat: {
       const auto& hb = static_cast<const HeartbeatMsg&>(m);
       out.put_varint(hb.view);
       out.put_varint(hb.committed_up_to);
+      out.put_varint(hb.stable);
       break;
     }
     case msg::kViewChange: {
@@ -187,20 +190,23 @@ MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
     case msg::kAccepted: {
       const std::uint64_t view = in.get_varint();
       const std::uint64_t seq = in.get_varint();
+      const std::uint64_t delivered = in.get_varint();
       if (!in.ok()) return nullptr;
-      return make_message<AcceptedMsg>(view, seq);
+      return make_message<AcceptedMsg>(view, seq, delivered);
     }
     case msg::kCommit: {
       const std::uint64_t view = in.get_varint();
       const std::uint64_t seq = in.get_varint();
+      const std::uint64_t stable = in.get_varint();
       if (!in.ok()) return nullptr;
-      return make_message<CommitMsg>(view, seq);
+      return make_message<CommitMsg>(view, seq, stable);
     }
     case msg::kHeartbeat: {
       const std::uint64_t view = in.get_varint();
       const std::uint64_t committed = in.get_varint();
+      const std::uint64_t stable = in.get_varint();
       if (!in.ok()) return nullptr;
-      return make_message<HeartbeatMsg>(view, committed);
+      return make_message<HeartbeatMsg>(view, committed, stable);
     }
     case msg::kViewChange: {
       const std::uint64_t new_view = in.get_varint();

@@ -46,14 +46,6 @@ std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options) {
                                              options.inserter_threads);
 }
 
-std::unique_ptr<Cos> make_cos(CosKind kind, std::size_t max_size,
-                              ConflictFn conflict, bool indexed) {
-  return make_cos(CosOptions{.kind = kind,
-                             .capacity = max_size,
-                             .conflict = conflict,
-                             .indexed = indexed});
-}
-
 bool parse_cos_kind(std::string_view name, CosKind* out) {
   if (name == "coarse-grained" || name == "coarse") {
     *out = CosKind::kCoarseGrained;

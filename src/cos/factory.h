@@ -69,13 +69,6 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options);
 // so the serial pairwise DAG keeps its semantics.
 std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options);
 
-// Deprecated positional overload, kept for one release as a shim over
-// CosOptions. It cannot reach the lock-free reclaim or striped
-// segment-width knobs; new code should brace up a CosOptions instead.
-[[deprecated("use make_cos(const CosOptions&)")]]
-std::unique_ptr<Cos> make_cos(CosKind kind, std::size_t max_size,
-                              ConflictFn conflict, bool indexed = true);
-
 // Parses "coarse-grained" / "fine-grained" / "lock-free" / "striped" (also
 // accepts the short forms "coarse", "fine", "lockfree"). Returns false on
 // unknown names.

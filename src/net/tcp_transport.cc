@@ -195,9 +195,17 @@ void TcpTransport::shutdown() {
       epoll_fd_ = wake_fd_ = listen_fd_ = -1;
       return;
     }
+    wake();
   }
-  wake();
   if (io_thread_.joinable()) io_thread_.join();
+  {
+    // The I/O thread is gone, and every send() after stopping_ drops before
+    // touching wake_fd_: nothing can use these fds any more.
+    MutexLock lock(mu_);
+    close(epoll_fd_);
+    close(wake_fd_);
+    epoll_fd_ = wake_fd_ = -1;
+  }
   inbox_.close();
   if (dispatcher_.joinable()) dispatcher_.join();
 }
@@ -586,9 +594,8 @@ void TcpTransport::io_loop() {
     close_conn_locked(*conns_.begin()->second, false);
   }
   if (listen_fd_ >= 0) close(listen_fd_);
-  if (wake_fd_ >= 0) close(wake_fd_);
-  if (epoll_fd_ >= 0) close(epoll_fd_);
-  listen_fd_ = wake_fd_ = epoll_fd_ = -1;
+  listen_fd_ = -1;
+  // epoll_fd_ and wake_fd_ stay open until shutdown() has joined us.
 }
 
 }  // namespace psmr

@@ -25,7 +25,9 @@ inline constexpr std::uint32_t kMagic = 0x524D5350u;  // "PSMR" as LE bytes
 // v2: command key encoding changed to a packed nibble byte
 // (nkeys | total<<4) that also carries payload key slots; see
 // codec/command_codec.cc.
-inline constexpr std::uint16_t kWireVersion = 2;
+// v3: ACCEPTED carries the sender's delivery watermark, COMMIT and
+// HEARTBEAT the stability watermark (broadcast/messages.h).
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kHelloBytes = 4 + 2 + 4;
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 

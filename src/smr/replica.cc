@@ -10,18 +10,11 @@
 
 namespace psmr {
 
-namespace {
-// Reply-cache entries older than this (per client, in client_seq distance)
-// are pruned; clients never have anywhere near this many outstanding.
-constexpr std::uint64_t kReplyCacheWindow = 1024;
-}  // namespace
-
 Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
                  Config config)
     : net_(net),
       index_(index),
       config_(config),
-      policy_(config.effective_policy()),
       service_(std::move(service)),
       metrics_{MetricsRegistry::global().counter("scheduler.batches"),
                MetricsRegistry::global().counter("scheduler.batch_commands"),
@@ -34,16 +27,16 @@ Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
                MetricsRegistry::global().histogram("scheduler.batch_size")} {
   endpoint_ = net_.add_endpoint(
       [this](NodeId from, MessagePtr m) { handle_message(from, std::move(m)); });
-  if (policy_ != SchedulerPolicy::kSequential) {
+  if (config_.policy != SchedulerPolicy::kSequential) {
     CosOptions cos_options = config_.cos;
     cos_options.conflict = service_->conflict();
-    if (policy_ == SchedulerPolicy::kParallelInsert) {
+    if (config_.policy == SchedulerPolicy::kParallelInsert) {
       // Falls back to the serial DAG when the service's relation is opaque
       // (no key space to shard).
       cos_ = make_parallel_insert_cos(cos_options);
     } else {
       auto dag = make_cos(cos_options);
-      if (policy_ == SchedulerPolicy::kEarlyScheduling) {
+      if (config_.policy == SchedulerPolicy::kEarlyScheduling) {
         cos_ = std::make_unique<EarlyCos>(std::move(dag),
                                           service_->class_map(),
                                           config_.workers,
@@ -108,7 +101,7 @@ void Replica::start() {
   if (running_.exchange(true)) return;
   broadcast_.load(std::memory_order_acquire)->start();
   scheduler_ = std::thread([this] { scheduler_loop(); });
-  if (policy_ != SchedulerPolicy::kSequential) {
+  if (config_.policy != SchedulerPolicy::kSequential) {
     for (int w = 0; w < config_.workers; ++w) {
       workers_.emplace_back([this] { worker_loop(); });
     }
@@ -180,13 +173,14 @@ void Replica::on_request(NodeId from, const RequestMsg& m) {
     for (Command c : m.commands) {
       c.client = static_cast<std::uint64_t>(from);  // authoritative source
       auto it = clients_.find(c.client);
-      if (it != clients_.end()) {
-        auto cached = it->second.replies.find(c.client_seq);
-        if (cached != it->second.replies.end()) {
-          const Response& r = cached->second;
+      if (it != clients_.end() && it->second.replies && c.client_seq != 0) {
+        const CachedReply& cached =
+            it->second.replies[c.client_seq % kReplyCacheWindow];
+        if (cached.client_seq == c.client_seq) {
           metrics_.reply_cache_hits.inc();
           net_.send(endpoint_, from,
-                    make_message<ReplyMsg>(r.client_seq, r.value, r.ok));
+                    make_message<ReplyMsg>(cached.client_seq, cached.value,
+                                           cached.ok));
           continue;
         }
       }
@@ -228,7 +222,7 @@ void Replica::scheduler_loop() {
       }
     }
     scheduled_count_ += fresh.size();
-    if (policy_ == SchedulerPolicy::kSequential) {
+    if (config_.policy == SchedulerPolicy::kSequential) {
       for (const Command& c : fresh) execute_and_reply(c);
     } else if (!fresh.empty()) {
       if (!cos_->insert_batch(fresh)) return;  // closed
@@ -268,17 +262,13 @@ void Replica::execute_and_reply(const Command& c) {
   {
     MutexLock lock(clients_mu_);
     auto& state = clients_[c.client];
-    state.replies[c.client_seq] = r;
-    // Bounded cache: drop entries far behind.
-    if (state.replies.size() > kReplyCacheWindow) {
-      for (auto it = state.replies.begin(); it != state.replies.end();) {
-        if (it->first + kReplyCacheWindow < c.client_seq) {
-          it = state.replies.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    if (!state.replies) {
+      state.replies = std::make_unique<CachedReply[]>(kReplyCacheWindow);
     }
+    // Workers finish out of order: never let an older reply evict a newer
+    // one that shares its entry.
+    CachedReply& entry = state.replies[c.client_seq % kReplyCacheWindow];
+    if (entry.client_seq < c.client_seq) entry = {c.client_seq, r.value, r.ok};
   }
   net_.send(endpoint_, static_cast<NodeId>(c.client),
             make_message<ReplyMsg>(r.client_seq, r.value, r.ok));

@@ -18,7 +18,8 @@
 // The scheduler skips any command whose client_seq is not greater than the
 // client's highest inserted one (this absorbs both client retransmissions
 // and re-proposals after a view change), and the replica answers
-// retransmissions of already-executed commands from a bounded reply cache.
+// retransmissions of already-executed commands from a per-client ring of
+// the last kReplyCacheWindow replies.
 #pragma once
 
 #include <atomic>
@@ -47,21 +48,18 @@ class Replica {
     // fallback — uses the service's class_map()), or the classical
     // sequential baseline.
     SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-    // Deprecated alias, folded into `policy`: true forces
-    // SchedulerPolicy::kSequential regardless of `policy`. Kept for one
-    // release for pre-policy callers.
-    bool sequential = false;
     // COS construction knobs (kind, capacity, indexed, reclaim,
     // segment_width). `cos.conflict` is ignored — the replica always uses
     // the service's conflict relation.
     CosOptions cos;
     int workers = 4;
     SequencedBroadcast::Config broadcast;
-
-    SchedulerPolicy effective_policy() const {
-      return sequential ? SchedulerPolicy::kSequential : policy;
-    }
   };
+
+  // Replies kept per client for answering retransmissions: the reply to
+  // client_seq s stays cached until the client's command s + window
+  // executes. Clients never have anywhere near this many outstanding.
+  static constexpr std::uint64_t kReplyCacheWindow = 1024;
 
   // Registers this replica's network endpoint. After all replicas of the
   // deployment are constructed, call connect() with every endpoint (in
@@ -145,7 +143,6 @@ class Replica {
   Transport& net_;
   const int index_;
   const Config config_;
-  const SchedulerPolicy policy_;  // config_.effective_policy(), resolved once
   std::unique_ptr<Service> service_;  // NOLINT(psmr-guarded-by-coverage) set in ctor, before any thread starts
   NodeId endpoint_ = -1;  // NOLINT(psmr-guarded-by-coverage) written in connect() before threads start
 
@@ -164,10 +161,20 @@ class Replica {
 
   // Per-client at-most-once state. clients_mu_ is held across net_.send on
   // the reply-cache hit path (its rank precedes the transport rank) and is
-  // never held together with COS locks.
+  // never held together with COS locks; every hold is O(1).
+  //
+  // The reply cache is a ring allocated on the client's first reply: the
+  // reply to client_seq s lives at index s % kReplyCacheWindow and is
+  // served only while the stored client_seq still matches. client_seq 0
+  // marks an empty entry — the at-most-once filter never executes it.
+  struct CachedReply {
+    std::uint64_t client_seq = 0;
+    std::uint64_t value = 0;
+    bool ok = false;
+  };
   struct ClientState {
     std::uint64_t max_inserted_seq = 0;
-    std::unordered_map<std::uint64_t, Response> replies;  // bounded
+    std::unique_ptr<CachedReply[]> replies;
   };
   mutable RankedMutex<lock_rank::kReplicaClients> clients_mu_;
   std::unordered_map<std::uint64_t, ClientState> clients_

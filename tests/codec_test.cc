@@ -171,9 +171,9 @@ TEST(MessageCodec, AllMessageTypesRoundTrip) {
       make_message<RequestMsg>(batch),
       make_message<ReplyMsg>(9, 100, true),
       make_message<AcceptMsg>(3, 17, batch),
-      make_message<AcceptedMsg>(3, 17),
-      make_message<CommitMsg>(3, 17),
-      make_message<HeartbeatMsg>(4, 21),
+      make_message<AcceptedMsg>(3, 17, 300),
+      make_message<CommitMsg>(3, 17, 70000),
+      make_message<HeartbeatMsg>(4, 21, 19),
       make_message<ViewChangeMsg>(5, log, 4),
       make_message<NewViewMsg>(5, log),
       make_message<StateRequestMsg>(33),
@@ -200,6 +200,30 @@ TEST(MessageCodec, AllMessageTypesRoundTrip) {
   }
   {
     ByteWriter w;
+    encode_message(*originals[3], w);
+    const MessagePtr decoded = decode_message(w.bytes());
+    const auto& accepted = message_as<AcceptedMsg>(decoded);
+    EXPECT_EQ(accepted.seq, 17u);
+    EXPECT_EQ(accepted.delivered, 300u);
+  }
+  {
+    ByteWriter w;
+    encode_message(*originals[4], w);
+    const MessagePtr decoded = decode_message(w.bytes());
+    const auto& commit = message_as<CommitMsg>(decoded);
+    EXPECT_EQ(commit.seq, 17u);
+    EXPECT_EQ(commit.stable, 70000u);
+  }
+  {
+    ByteWriter w;
+    encode_message(*originals[5], w);
+    const MessagePtr decoded = decode_message(w.bytes());
+    const auto& hb = message_as<HeartbeatMsg>(decoded);
+    EXPECT_EQ(hb.committed_up_to, 21u);
+    EXPECT_EQ(hb.stable, 19u);
+  }
+  {
+    ByteWriter w;
     encode_message(*originals[6], w);
     const MessagePtr decoded = decode_message(w.bytes());
     const auto& vc = message_as<ViewChangeMsg>(decoded);
@@ -216,6 +240,27 @@ TEST(MessageCodec, AllMessageTypesRoundTrip) {
     const auto& sr = message_as<StateResponseMsg>(decoded);
     EXPECT_EQ(sr.checkpoint_seq, 44u);
     EXPECT_EQ(sr.snapshot, (std::vector<std::uint8_t>{9, 8, 7}));
+  }
+}
+
+TEST(MessageCodec, WatermarkFieldsAreRequired) {
+  // The stability watermarks are the last field of each message: a frame
+  // cut anywhere, including inside the multi-byte watermark varint, must
+  // be rejected rather than decoded with a default watermark.
+  const std::vector<MessagePtr> messages = {
+      make_message<AcceptedMsg>(1, 2, 300),
+      make_message<CommitMsg>(1, 2, 70000),
+      make_message<HeartbeatMsg>(1, 2, 300),
+  };
+  for (const MessagePtr& m : messages) {
+    ByteWriter w;
+    encode_message(*m, w);
+    const auto& bytes = w.bytes();
+    ASSERT_NE(decode_message(bytes), nullptr) << "type " << m->type;
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      EXPECT_EQ(decode_message(std::span(bytes.data(), cut)), nullptr)
+          << "type " << m->type << " cut at " << cut;
+    }
   }
 }
 
@@ -452,11 +497,35 @@ TEST(GoldenBytes, ReplyMessageEncoding) {
   EXPECT_EQ(w.bytes(), expected);
 }
 
+TEST(GoldenBytes, BroadcastWatermarksFollowTheSlot) {
+  ByteWriter accepted;
+  encode_message(AcceptedMsg(1, 2, 300), accepted);
+  EXPECT_EQ(accepted.bytes(), (std::vector<std::uint8_t>{
+                                  0x04,        // type tag kAccepted
+                                  0x01,        // view
+                                  0x02,        // seq
+                                  0xAC, 0x02,  // delivered = 300
+                              }));
+  ByteWriter commit;
+  encode_message(CommitMsg(1, 2, 300), commit);
+  EXPECT_EQ(commit.bytes(), (std::vector<std::uint8_t>{
+                                0x05, 0x01, 0x02,  // kCommit, view, seq
+                                0xAC, 0x02,        // stable = 300
+                            }));
+  ByteWriter heartbeat;
+  encode_message(HeartbeatMsg(1, 2, 300), heartbeat);
+  EXPECT_EQ(heartbeat.bytes(),
+            (std::vector<std::uint8_t>{
+                0x06, 0x01, 0x02,  // kHeartbeat, view, committed_up_to
+                0xAC, 0x02,        // stable = 300
+            }));
+}
+
 TEST(GoldenBytes, TcpHelloLayout) {
   const std::vector<std::uint8_t> hello = wire::encode_hello(7);
   const std::vector<std::uint8_t> expected = {
       0x50, 0x53, 0x4D, 0x52,  // magic "PSMR"
-      0x02, 0x00,              // wire version 2 (packed command key byte)
+      0x03, 0x00,              // wire version 3 (broadcast watermarks)
       0x07, 0x00, 0x00, 0x00,  // node id
   };
   EXPECT_EQ(hello, expected);
@@ -469,7 +538,7 @@ TEST(GoldenBytes, TcpHelloLayout) {
   bad[0] ^= 0xFF;  // corrupt magic
   EXPECT_FALSE(wire::decode_hello(bad.data(), &parsed));
   bad = hello;
-  bad[4] = 0x03;  // future wire version
+  bad[4] = 0x04;  // future wire version
   EXPECT_FALSE(wire::decode_hello(bad.data(), &parsed));
 }
 

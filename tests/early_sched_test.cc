@@ -174,22 +174,6 @@ TEST(Factory, SchedulerPolicyNamesRoundTrip) {
   EXPECT_FALSE(parse_scheduler_policy("eager", &parsed));
 }
 
-TEST(Factory, DeprecatedPositionalOverloadStillWorks) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto cos = make_cos(CosKind::kLockFree, 64, rw_conflict);
-#pragma GCC diagnostic pop
-  ASSERT_NE(cos, nullptr);
-  Command c = LinkedListService::make_contains(1);
-  c.id = 1;
-  ASSERT_TRUE(cos->insert(c));
-  CosHandle h = cos->get();
-  ASSERT_TRUE(h);
-  EXPECT_EQ(h.cmd->id, 1u);
-  cos->remove(h);
-  cos->close();
-}
-
 TEST(Factory, ReclaimKnobReachesLockFreeCos) {
   auto cos = make_cos({.kind = CosKind::kLockFree,
                        .capacity = 32,

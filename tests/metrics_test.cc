@@ -235,8 +235,21 @@ TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {
   deployment.add_client(client_config, [&] {
     return builder.make_put(next.fetch_add(1) % 64, 1);
   });
+  // Run until the resend timer has fired, and for at least 100 commands. A
+  // resend needs a lost leader-bound request (or all three replies of one
+  // command): about 2% per command, so 100 commands see none with
+  // probability 0.98^100 ~ 0.13. Give up only after 1100 commands
+  // (0.98^1100 < 1e-9).
+  Counter& resends = MetricsRegistry::global().counter("client.resends");
+  const std::uint64_t resends_before = resends.value();
+  const auto done = [&] {
+    const std::uint64_t completed = deployment.total_client_completed();
+    if (completed < 100) return false;
+    return !kMetricsEnabled || resends.value() > resends_before ||
+           completed >= 1100;
+  };
   deployment.start();
-  for (int t = 0; t < 4000 && deployment.total_client_completed() < 100; ++t) {
+  for (int t = 0; t < 12000 && !done(); ++t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_GE(deployment.total_client_completed(), 100u);
@@ -245,10 +258,9 @@ TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {
 
   const MetricsSnapshot after = MetricsRegistry::global().snapshot();
   if constexpr (!kMetricsEnabled) return;
-  // At 2% loss over >= 100 commands, each sent to 3 replicas which each
-  // reply, some request or reply is lost (P[no loss] < 1e-5), so the
-  // resend timer fired; and with 3 replicas answering every request, later
-  // replies find the command already completed.
+  // The loop above ran until the resend timer fired; and with 3 replicas
+  // answering every request, later replies find the command already
+  // completed.
   EXPECT_GT(delta(before, after, "client.resends"), 0u);
   EXPECT_GT(delta(before, after, "client.duplicate_replies"), 0u);
   EXPECT_GT(delta(before, after, "net.sim.dropped"), 0u);

@@ -346,6 +346,33 @@ TEST_P(TransportConformanceTest, RemoveEndpointIsIdempotentAndIgnoresUnknownIds)
   EXPECT_TRUE(wait_until([&] { return sink.count.load() == 10; }));
 }
 
+TEST_P(TransportConformanceTest, ShutdownWhileSendsAreRunning) {
+  // Killing a node while its own senders are mid-flight must not wedge
+  // them, and no late wake-up may write to a descriptor shutdown already
+  // closed (its number can be reused by an unrelated file). Shutdown races
+  // are intermittent, hence the rounds.
+  for (int round = 0; round < 50; ++round) {
+    std::vector<Transport::Handler> handlers;
+    handlers.push_back(null_handler());
+    handlers.push_back(null_handler());
+    auto fabric = make_fabric(std::move(handlers));
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> senders;
+    for (NodeId to : {0, 1}) {  // to self and to the peer
+      senders.emplace_back([&, to] {
+        for (std::uint64_t seq = 0; !stop.load(); ++seq) {
+          fabric->node(0).send(0, to, tagged(seq, 0));
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    fabric->kill(0);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    stop.store(true);
+    for (auto& sender : senders) sender.join();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformanceTest,
                          ::testing::Values(FabricKind::kSim,
                                            FabricKind::kTcp),

@@ -10,8 +10,7 @@
 //
 // On top of FlagSet sit two reusable bundles so the scheduler and metrics
 // knobs are spelled identically everywhere:
-//   SchedulerFlags  --cos, --policy (--sequential as a deprecated alias),
-//                   --graph-size, --workers
+//   SchedulerFlags  --cos, --policy, --graph-size, --workers
 //   MetricsFlags    --metrics-dump-ms, --metrics-format
 #pragma once
 
@@ -143,7 +142,6 @@ class FlagSet {
 struct SchedulerFlags {
   std::string cos = "lock-free";   // parse_cos_kind spelling
   std::string policy = "cos-dag";  // parse_scheduler_policy spelling
-  bool sequential = false;         // deprecated alias for --policy=sequential
   std::size_t graph_size = kPaperGraphSize;
   int workers = 4;
   std::size_t insert_shards = 0;     // --policy=parallel-insert: 0 = auto
@@ -152,7 +150,6 @@ struct SchedulerFlags {
   void register_with(FlagSet* flags) {
     flags->add_string("--cos", &cos);
     flags->add_string("--policy", &policy);
-    flags->add_flag("--sequential", &sequential);
     flags->add_size("--graph-size", &graph_size);
     flags->add_int("--workers", &workers);
     flags->add_size("--insert-shards", &insert_shards);
@@ -160,8 +157,7 @@ struct SchedulerFlags {
   }
 
   // Resolves the textual spellings; prints to stderr and returns false on
-  // an unrecognized name. --sequential (deprecated) forces kSequential,
-  // matching Replica::Config::effective_policy().
+  // an unrecognized name.
   bool resolve(CosKind* kind, SchedulerPolicy* out_policy) const {
     if (!parse_cos_kind(cos, kind)) {
       std::fprintf(stderr, "unknown --cos=%s\n", cos.c_str());
@@ -171,7 +167,6 @@ struct SchedulerFlags {
       std::fprintf(stderr, "unknown --policy=%s\n", policy.c_str());
       return false;
     }
-    if (sequential) *out_policy = SchedulerPolicy::kSequential;
     return true;
   }
 

@@ -145,7 +145,7 @@ bool parse_args(int argc, char** argv, Options* opt) {
   });
   flags.add_string("--listen", &opt->listen);
   flags.add_string("--service", &opt->service);
-  opt->sched.register_with(&flags);    // --cos/--policy/--sequential/...
+  opt->sched.register_with(&flags);    // --cos/--policy/--workers/...
   opt->metrics.register_with(&flags);  // --metrics-dump-ms/--metrics-format
   flags.add_uint64("--run-ms", &opt->run_ms);
   flags.add_uint64("--ops", &opt->ops);
