@@ -17,6 +17,8 @@ SequencedBroadcast::SequencedBroadcast(Transport& net, NodeId self, int index,
       deliver_(std::move(deliver)),
       peer_delivered_(replicas_.size(), 0),
       metrics_{MetricsRegistry::global().counter("broadcast.proposals"),
+               MetricsRegistry::global().counter(
+                   "broadcast.timeout_proposals"),
                MetricsRegistry::global().counter("broadcast.delivered_batches"),
                MetricsRegistry::global().counter(
                    "broadcast.delivered_commands"),
@@ -76,7 +78,7 @@ bool SequencedBroadcast::submit(const std::vector<Command>& cmds) {
     const bool was_empty = pending_.empty();
     if (was_empty) pending_since_ns_ = now_ns();
     pending_.insert(pending_.end(), cmds.begin(), cmds.end());
-    if (pending_.size() >= config_.batch_max) {
+    if (pending_.size() >= config_.batch_max || !slot_in_flight_locked()) {
       propose_locked();
     } else {
       arm_timer = was_empty;
@@ -95,7 +97,8 @@ void SequencedBroadcast::broadcast_to_replicas_locked(const MessagePtr& m) {
   }
 }
 
-void SequencedBroadcast::propose_locked() {
+std::uint64_t SequencedBroadcast::propose_locked() {
+  const std::uint64_t first = next_seq_;
   while (!pending_.empty()) {
     const std::size_t take = std::min(pending_.size(), config_.batch_max);
     std::vector<Command> batch(pending_.begin(),
@@ -119,7 +122,10 @@ void SequencedBroadcast::propose_locked() {
     }
     last_heartbeat_sent_ns_ = now_ns();  // proposals count as liveness
   }
+  // Counted before delivery drops mu_, when other threads may propose.
+  const std::uint64_t proposed = next_seq_ - first;
   try_deliver_locked();
+  return proposed;
 }
 
 void SequencedBroadcast::try_deliver_locked() {
@@ -269,7 +275,13 @@ void SequencedBroadcast::on_accepted(int from_index, const AcceptedMsg& m) {
     slot.committed = true;
     broadcast_to_replicas_locked(
         make_message<CommitMsg>(view_, m.seq, stable_));
-    try_deliver_locked();
+    // Group commit: what arrived while the slot was in flight goes out now
+    // (propose_locked delivers too).
+    if (!pending_.empty()) {
+      propose_locked();
+    } else {
+      try_deliver_locked();
+    }
   }
 }
 
@@ -279,9 +291,9 @@ void SequencedBroadcast::on_commit(int from_index, const CommitMsg& m) {
   note_stable_locked(from_index, m.stable);
   auto it = log_.find(m.seq);
   if (it == log_.end() || it->second.batch.empty()) {
-    // Links are reliable FIFO, so the ACCEPT always precedes the COMMIT on
-    // the leader->us link; an unknown slot here means it was pruned
-    // (already delivered).
+    // Links are FIFO, so the ACCEPT precedes the COMMIT on the leader->us
+    // link; an unknown slot here was pruned (already delivered) or its
+    // ACCEPT was lost, and state transfer repairs the gap (see GapFn).
     return;
   }
   it->second.committed = true;
@@ -458,7 +470,7 @@ void SequencedBroadcast::timer_loop() {
     am_leader = leader_of(view_) == index_ && !view_changing_;
     if (am_leader && !pending_.empty() &&
         now - pending_since_ns_ >= batch_timeout_ns) {
-      propose_locked();
+      metrics_.timeout_proposals.inc(propose_locked());
     }
     if (now < next_tick_ns) continue;
     // The tick: heartbeats and failure detection.

@@ -6,13 +6,17 @@
 // Viewstamped-Replication-style view change for leader failure).
 //
 // Normal case:
-//   submit(cmds) at the leader appends to the pending batch; the batch is
-//   proposed when it reaches batch_max commands or batch_timeout_us after
-//   its first command, whichever comes first. The timer sleeps until that
-//   deadline, so batch_timeout_us is honoured to timer precision, not
-//   rounded up to a tick. The leader assigns the next sequence number and
-//   sends ACCEPT(view, seq, batch); replicas log it and answer ACCEPTED; on
-//   a majority (counting itself) the leader sends COMMIT; every replica
+//   The leader batches adaptively (group commit). submit(cmds) proposes at
+//   once when none of the leader's slots is in flight, i.e. its newest slot
+//   has committed; otherwise the commands join the pending batch, which is
+//   proposed as soon as the in-flight slot commits. batch_max and
+//   batch_timeout_us cap a batch: it also goes out when it reaches batch_max
+//   commands or batch_timeout_us after its first command. The timer sleeps
+//   until that deadline, so the cap is honoured to timer precision, not
+//   rounded up to a tick. With n = 1 a slot commits on proposal, so every
+//   submit proposes at once. The leader assigns the next sequence number
+//   and sends ACCEPT(view, seq, batch); replicas log it and answer ACCEPTED;
+//   on a majority (counting itself) the leader sends COMMIT; every replica
 //   delivers committed batches in sequence order (gap-free) through the
 //   deliver callback.
 //
@@ -43,11 +47,12 @@
 // the same batches in the same sequence order; delivery is gap-free and
 // each batch is delivered at most once per replica.
 //
-// Threading: handle() is invoked by the network endpoint dispatcher;
-// submit() by any thread; an internal timer thread flushes batches at
-// their deadline and, every tick_interval_ms, drives heartbeats and
-// failure detection. All state is guarded by one mutex; the deliver
-// callback is invoked while *not* holding it, in delivery order.
+// Threading: handle() is invoked by the network endpoint dispatcher, which
+// also proposes the pending batch when an ACCEPTED commits a slot; submit()
+// by any thread; an internal timer thread flushes batches at their deadline
+// and, every tick_interval_ms, drives heartbeats and failure detection. All
+// state is guarded by one mutex; the deliver callback is invoked while *not*
+// holding it, in delivery order.
 #pragma once
 
 #include <atomic>
@@ -70,8 +75,8 @@ class SequencedBroadcast {
  public:
   struct Config {
     std::size_t batch_max = 64;
-    // A batch that has not filled is proposed this long after its first
-    // command, to timer precision.
+    // Cap on how long a batch that has not filled waits for the in-flight
+    // slot to commit, counted from its first command, to timer precision.
     std::uint64_t batch_timeout_us = 500;
     std::uint64_t heartbeat_interval_ms = 10;
     std::uint64_t leader_timeout_ms = 100;
@@ -149,8 +154,19 @@ class SequencedBroadcast {
     return static_cast<int>(v % replicas_.size());
   }
 
+  // Leader side: true while the newest slot awaits its majority. Followers
+  // ACCEPT in order over FIFO links, so without loss the newest slot commits
+  // last; an older slot that loss stalls holds back delivery, not proposals.
+  // The log is the leader's own since its view was installed (NEWVIEW
+  // re-proposes every uncommitted slot), and a pruned slot was delivered, so
+  // nothing carries over from an earlier view.
+  bool slot_in_flight_locked() const PSMR_REQUIRES(mu_) {
+    return !log_.empty() && !log_.rbegin()->second.committed;
+  }
+
   struct Metrics {
     Counter& proposals;           // batches proposed (leader side)
+    Counter& timeout_proposals;   // of those, proposed by the batch timer
     Counter& delivered_batches;   // batches delivered in order
     Counter& delivered_commands;  // commands in those batches
     Counter& heartbeats;          // heartbeats sent while leader
@@ -163,7 +179,8 @@ class SequencedBroadcast {
   // All of the following require mu_ held. try_deliver_locked releases and
   // reacquires mu_ around the deliver callback (directly on the mutex, so
   // the static analysis and the rank checker both track it).
-  void propose_locked() PSMR_REQUIRES(mu_);
+  // Returns how many slots it proposed.
+  std::uint64_t propose_locked() PSMR_REQUIRES(mu_);
   void try_deliver_locked() PSMR_REQUIRES(mu_);
   // Raises stable_ to min(last_delivered_, every peer's reported watermark).
   void advance_stable_locked() PSMR_REQUIRES(mu_);

@@ -211,12 +211,10 @@ void Replica::scheduler_loop() {
     {
       MutexLock lock(clients_mu_);
       for (const Command& c : delivery->batch) {
-        auto& state = clients_[c.client];
-        if (c.client != 0 && c.client_seq <= state.max_inserted_seq) {
+        if (c.client != 0 && !clients_[c.client].admit(c.client_seq)) {
           metrics_.dedup_hits.inc();
           continue;
         }
-        state.max_inserted_seq = c.client_seq;
         fresh.push_back(c);
         fresh.back().id = next_command_id_++;
       }
@@ -231,6 +229,28 @@ void Replica::scheduler_loop() {
       population_samples_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
     }
   }
+}
+
+bool Replica::ClientState::admit(std::uint64_t seq) {
+  if (seq == 0 || seq + kReplyCacheWindow <= max_inserted_seq) return false;
+  const auto word = [](std::uint64_t s) { return s % kReplyCacheWindow / 64; };
+  const auto mask = [](std::uint64_t s) { return std::uint64_t{1} << s % 64; };
+  if (seq > max_inserted_seq) {
+    // Slide the window up to seq: the seqs it leaves free their bits for
+    // the seqs it enters.
+    if (seq - max_inserted_seq >= kReplyCacheWindow) {
+      inserted.fill(0);
+    } else {
+      for (std::uint64_t s = max_inserted_seq + 1; s < seq; ++s) {
+        inserted[word(s)] &= ~mask(s);
+      }
+    }
+    max_inserted_seq = seq;
+  } else if (inserted[word(seq)] & mask(seq)) {
+    return false;
+  }
+  inserted[word(seq)] |= mask(seq);
+  return true;
 }
 
 void Replica::worker_loop() {
@@ -301,11 +321,12 @@ std::uint64_t Replica::state_digest() {
   return result.get();
 }
 
-// Checkpoint = service snapshot + the per-client at-most-once table (so a
+// Checkpoint = service snapshot + the per-client at-most-once windows (so a
 // restored replica keeps rejecting retransmissions of commands the
-// checkpoint already contains). Reply caches are intentionally not shipped:
-// the peers that produced the checkpoint still hold theirs, and the crash
-// model guarantees a correct replica can answer retransmissions.
+// checkpoint already contains, and still admits the seqs it does not).
+// Reply caches are intentionally not shipped: the peers that produced the
+// checkpoint still hold theirs, and the crash model guarantees a correct
+// replica can answer retransmissions.
 std::vector<std::uint8_t> Replica::encode_checkpoint() {
   ByteWriter out;
   const std::vector<std::uint8_t> service_bytes = service_->snapshot();
@@ -315,6 +336,7 @@ std::vector<std::uint8_t> Replica::encode_checkpoint() {
   for (const auto& [client, state] : clients_) {
     out.put_varint(client);
     out.put_varint(state.max_inserted_seq);
+    for (const std::uint64_t word : state.inserted) out.put_u64(word);
   }
   return out.take();
 }
@@ -327,8 +349,9 @@ bool Replica::decode_checkpoint(std::span<const std::uint8_t> bytes) {
   if (!in.ok() || clients > in.remaining() + 1) return false;
   std::unordered_map<std::uint64_t, ClientState> table;
   for (std::uint64_t i = 0; i < clients; ++i) {
-    const std::uint64_t client = in.get_varint();
-    table[client].max_inserted_seq = in.get_varint();
+    ClientState& state = table[in.get_varint()];
+    state.max_inserted_seq = in.get_varint();
+    for (std::uint64_t& word : state.inserted) word = in.get_u64();
   }
   if (!in.ok()) return false;
   MutexLock lock(clients_mu_);

@@ -15,13 +15,16 @@
 // identical — the policy only changes which Cos is constructed.
 //
 // At-most-once execution: commands are identified by (client, client_seq).
-// The scheduler skips any command whose client_seq is not greater than the
-// client's highest inserted one (this absorbs both client retransmissions
-// and re-proposals after a view change), and the replica answers
-// retransmissions of already-executed commands from a per-client ring of
-// the last kReplyCacheWindow replies.
+// The scheduler keeps, per client, which of the last kReplyCacheWindow seqs
+// up to the highest inserted one it has inserted. It skips a command whose
+// seq is in that window and inserted, or older than the window (this
+// absorbs both client retransmissions and re-proposals after a view
+// change); a pipelined seq ordered after a higher one is still inserted.
+// The replica answers retransmissions of already-executed commands from a
+// per-client ring of the last kReplyCacheWindow replies.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -172,8 +175,17 @@ class Replica {
     std::uint64_t value = 0;
     bool ok = false;
   };
+  // The at-most-once window covers the kReplyCacheWindow seqs ending at
+  // max_inserted_seq: bit s % kReplyCacheWindow of `inserted` is set iff
+  // seq s in the window was inserted. It depends only on delivery order, so
+  // every replica keeps the same window.
   struct ClientState {
+    // Marks `seq` inserted and returns true unless it was inserted already
+    // or is older than the window (or is 0).
+    bool admit(std::uint64_t seq);
+
     std::uint64_t max_inserted_seq = 0;
+    std::array<std::uint64_t, kReplyCacheWindow / 64> inserted{};
     std::unique_ptr<CachedReply[]> replies;
   };
   mutable RankedMutex<lock_rank::kReplicaClients> clients_mu_;

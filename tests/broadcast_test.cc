@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -109,8 +110,8 @@ SequencedBroadcast::Config fast_broadcast() {
   SequencedBroadcast::Config config;
   config.batch_timeout_us = 200;
   config.heartbeat_interval_ms = 5;
-  // Generous relative to the heartbeat so a loaded 1-core CI host does not
-  // trigger spurious view changes mid-test.
+  // Generous relative to the heartbeat so a loaded CI host (or a sanitizer
+  // build) does not trigger spurious view changes mid-test.
   config.leader_timeout_ms = 250;
   config.tick_interval_ms = 1;
   return config;
@@ -355,6 +356,161 @@ TEST(Broadcast, BatchDeadlineReArmsForEachBatch) {
   const auto delivered = h.delivered(1);
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_NE(delivered[0].first, delivered[1].first);
+}
+
+// Group commit: with a 10 s cap, a batch that waited for the timer would
+// miss every deadline below, and broadcast.timeout_proposals would move.
+constexpr std::uint64_t kCapUs = 10'000'000;
+
+std::uint64_t timeout_proposals() {
+  return MetricsRegistry::global().counter("broadcast.timeout_proposals")
+      .value();
+}
+
+TEST(Broadcast, LoneSubmitIsProposedAtOnceWhenNoSlotIsInFlight) {
+  auto config = slow_tick_broadcast();
+  config.batch_timeout_us = kCapUs;
+  BroadcastHarness h(3, fast_net(), config);
+  const std::uint64_t timer_before = timeout_proposals();
+  const Stopwatch since_submit;
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 1));
+  EXPECT_LT(since_submit.elapsed_ns(), kPromptNs);
+  EXPECT_EQ(timeout_proposals(), timer_before);
+}
+
+// 2 ms one-way links: a round takes at least 4 ms, far longer than a
+// submit, so commands submitted back to back find the first slot in flight.
+SimNetwork::Config slow_net() {
+  SimNetwork::Config config;
+  config.base_latency_us = 2000;
+  config.jitter_us = 20;
+  return config;
+}
+
+TEST(Broadcast, SubmitDuringInFlightSlotIsProposedWhenItCommits) {
+  auto config = slow_tick_broadcast();
+  config.batch_timeout_us = kCapUs;
+  BroadcastHarness h(3, slow_net(), config);
+  const std::uint64_t timer_before = timeout_proposals();
+  const Stopwatch since_submit;
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  ASSERT_TRUE(h.engine(0).submit({cmd(2)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 2));
+  EXPECT_LT(since_submit.elapsed_ns(), kPromptNs);
+  const auto delivered = h.delivered(1);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_LT(delivered[0].first, delivered[1].first);
+  EXPECT_EQ(timeout_proposals(), timer_before);
+}
+
+TEST(Broadcast, SubmitsDuringSlowRoundShareFewSlots) {
+  // The first command goes out alone; the rest wait for its round and go
+  // out together, so batching still groups a burst of single submits.
+  auto config = slow_tick_broadcast();
+  config.batch_timeout_us = kCapUs;
+  BroadcastHarness h(3, slow_net(), config);
+  constexpr std::size_t kCommands = 30;
+  for (std::size_t i = 0; i < kCommands; ++i) {
+    ASSERT_TRUE(h.engine(0).submit({cmd(i)}));
+  }
+  ASSERT_TRUE(h.wait_delivered(1, kCommands));
+  const auto delivered = h.delivered(1);
+  EXPECT_LE(delivered.back().first - delivered.front().first + 1, 3u);
+}
+
+TEST(Broadcast, NewLeaderProposesAtOnceAfterViewChange) {
+  // Heartbeats go out once a 1 s tick, so the followers' timeout allows for
+  // a late one.
+  auto config = slow_tick_broadcast();
+  config.batch_timeout_us = kCapUs;
+  config.leader_timeout_ms = 2500;
+  BroadcastHarness h(3, slow_net(), config);
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  ASSERT_TRUE(h.engine(0).submit({cmd(2)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 2));
+
+  h.net().crash(h.engine_endpoint(0));
+  for (int t = 0; t < 2000 && !h.engine(1).is_leader(); ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(h.engine(1).is_leader());
+  const std::uint64_t timer_before = timeout_proposals();
+  for (std::uint64_t tag = 3; tag <= 4; ++tag) {
+    const Stopwatch since_submit;
+    // The second submit of each pair finds the first one's slot in flight.
+    ASSERT_TRUE(h.engine(1).submit({cmd(tag * 10)}));
+    ASSERT_TRUE(h.engine(1).submit({cmd(tag * 10 + 1)}));
+    const std::size_t count = 2 * (tag - 1);
+    for (int i : {1, 2}) ASSERT_TRUE(h.wait_delivered(i, count));
+    EXPECT_LT(since_submit.elapsed_ns(), kPromptNs) << "pair " << tag;
+  }
+  EXPECT_EQ(timeout_proposals(), timer_before);
+}
+
+// Cuts (or restores) every link of replica i.
+void isolate(BroadcastHarness& h, int i, bool cut) {
+  for (int j = 0; j < h.size(); ++j) {
+    if (j != i) h.net().set_link(h.engine_endpoint(i), h.engine_endpoint(j), !cut);
+  }
+}
+
+TEST(Broadcast, LeaderThatStepsDownAndLeadsAgainProposesAtOnce) {
+  // Replica 0 leads view 0 and is cut off with a slot in flight that never
+  // commits. Views 1 and 2 pass to replicas 1 and 2, and replica 0 leads
+  // again in view 3: nothing it had in flight in view 0 may hold back its
+  // new proposals. Fast ticks keep the three view changes short; the 10 s
+  // cap still exposes any proposal that waits for the timer.
+  auto config = fast_broadcast();
+  config.batch_timeout_us = kCapUs;
+  BroadcastHarness h(3, fast_net(), config);
+  const auto wait_until = [](const auto& done) {
+    for (int t = 0; t < 2000 && !done(); ++t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+  };
+  const auto wait_leader = [&](int i) {
+    return wait_until([&] { return h.engine(i).is_leader(); });
+  };
+  // Engine i left view v, so it will not start a view change of its own.
+  const auto wait_view = [&](int i, std::uint64_t v) {
+    return wait_until([&] { return h.engine(i).view() >= v; });
+  };
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.wait_delivered(i, 1));
+
+  isolate(h, 0, true);
+  ASSERT_TRUE(h.engine(0).submit({cmd(2)}));  // in flight for good
+  ASSERT_TRUE(h.engine(0).submit({cmd(3)}));  // waits behind it
+  ASSERT_TRUE(wait_leader(1));
+  isolate(h, 0, false);
+  ASSERT_TRUE(wait_view(0, 1));
+
+  isolate(h, 1, true);
+  ASSERT_TRUE(wait_leader(2));
+  isolate(h, 1, false);
+  ASSERT_TRUE(wait_view(1, 2));
+  isolate(h, 2, true);
+  ASSERT_TRUE(wait_leader(0));
+  EXPECT_EQ(h.engine(0).view(), 3u);
+
+  // View 3 may re-propose command 2; commands 4 and 5 must follow promptly.
+  const auto delivered_tags = [&](int i) {
+    std::set<std::uint64_t> tags;
+    for (const auto& [seq, tag] : h.delivered(i)) tags.insert(tag);
+    return tags.count(4) + tags.count(5);
+  };
+  const std::uint64_t timer_before = timeout_proposals();
+  const Stopwatch since_submit;
+  ASSERT_TRUE(h.engine(0).submit({cmd(4)}));
+  ASSERT_TRUE(h.engine(0).submit({cmd(5)}));
+  for (int i : {0, 1}) {
+    EXPECT_TRUE(wait_until([&] { return delivered_tags(i) == 2; }))
+        << "replica " << i;
+  }
+  EXPECT_LT(since_submit.elapsed_ns(), kPromptNs);
+  EXPECT_EQ(timeout_proposals(), timer_before);
 }
 
 TEST(Broadcast, CascadedViewChangeSkipsDeadLeaders) {

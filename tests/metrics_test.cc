@@ -264,10 +264,10 @@ TEST(MetricsEndToEnd, ResendAndDuplicateCountersMoveUnderMessageLoss) {
   EXPECT_GT(delta(before, after, "client.resends"), 0u);
   EXPECT_GT(delta(before, after, "client.duplicate_replies"), 0u);
   EXPECT_GT(delta(before, after, "net.sim.dropped"), 0u);
-  // The replica answered retransmissions from its reply cache.
-  EXPECT_GT(delta(before, after, "scheduler.dedup_hits") +
-                delta(before, after, "replica.reply_cache_hits"),
-            0u);
+  // The first resend is usually of a request lost on its way to the leader,
+  // which executes as a fresh command and moves neither
+  // scheduler.dedup_hits nor replica.reply_cache_hits; SmrDedup checks
+  // those counters deterministically.
 }
 
 }  // namespace

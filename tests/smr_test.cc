@@ -581,5 +581,112 @@ TEST(SmrDedup, ReplyCacheRingAnswersOnlyRetransmissionsInsideTheWindow) {
   deployment.stop();
 }
 
+TEST(SmrDedup, SeqOrderedAfterAHigherOneStillExecutes) {
+  // A pipelined client's seq 1 can be ordered after its seq 2 (lost on the
+  // way to the leader, or dropped with a pending batch at a view change).
+  // It was never inserted, so it must execute and be answered.
+  Deployment deployment(
+      make_config(SchedulerPolicy::kCosDag, CosKind::kLockFree, 2),
+      [] { return std::make_unique<KvService>(); });
+  const KvService builder;
+  std::mutex mu;  // NOLINT(psmr-raw-mutex) test-local reply log, never nested
+  std::map<std::uint64_t, std::size_t> replies;  // guarded by mu, by seq
+  auto replies_for = [&](std::uint64_t seq) {
+    std::lock_guard lock(mu);
+    return replies[seq];
+  };
+  Transport& net = deployment.net();
+  const NodeId client = net.add_endpoint([&](NodeId, MessagePtr m) {
+    if (m->type != msg::kReply) return;
+    std::lock_guard lock(mu);
+    ++replies[message_as<ReplyMsg>(m).client_seq];
+  });
+  deployment.start();
+  // Sends one request carrying `copies` copies of seq to every replica.
+  auto send_to_all = [&](std::uint64_t seq, std::size_t copies = 1) {
+    Command c = builder.make_put(seq, seq);
+    c.client_seq = seq;
+    for (int r = 0; r < deployment.replica_count(); ++r) {
+      net.send(client, deployment.replica(r).endpoint(),
+               make_message<RequestMsg>(std::vector<Command>(copies, c)));
+    }
+  };
+  const auto wait_replies = [&](std::uint64_t seq, std::size_t count) {
+    for (int t = 0; t < 1000 && replies_for(seq) < count; ++t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return replies_for(seq);
+  };
+
+  send_to_all(2);
+  EXPECT_EQ(wait_replies(2, 3), 3u);
+  send_to_all(1);
+  EXPECT_EQ(wait_replies(1, 3), 3u);
+
+  // A retransmission of seq 1 is answered from the reply cache.
+  Counter& cache_hits =
+      MetricsRegistry::global().counter("replica.reply_cache_hits");
+  const std::uint64_t hits_before = cache_hits.value();
+  send_to_all(1);
+  EXPECT_EQ(wait_replies(1, 6), 6u);
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(cache_hits.value(), hits_before + 3);
+  }
+
+  // Below the highest seq, a seq inserted once is dropped the second time:
+  // two copies of seq 3 are ordered together, and each replica executes
+  // the first and drops the second.
+  Counter& dedup_hits =
+      MetricsRegistry::global().counter("scheduler.dedup_hits");
+  const std::uint64_t dedup_before = dedup_hits.value();
+  send_to_all(4);
+  EXPECT_EQ(wait_replies(4, 3), 3u);
+  send_to_all(3, 2);
+  EXPECT_EQ(wait_replies(3, 3), 3u);
+  ASSERT_TRUE(wait_executed(deployment, 4));
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(dedup_hits.value(), dedup_before + 3);
+  }
+
+  // Each executed once.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(replies_for(3), 3u);
+  for (int r = 0; r < deployment.replica_count(); ++r) {
+    EXPECT_EQ(deployment.replica(r).executed_count(), 4u) << "replica " << r;
+  }
+  net.remove_endpoint(client);
+  deployment.stop();
+}
+
+TEST(SmrGroupCommit, PipelinedClientCompletesWithoutWaitingForTheCap) {
+  // With a 10 s batch cap, every batch that waited for the timer would
+  // stall the client for 10 s: the leader must propose on its own.
+  constexpr std::uint64_t kCommands = 200;
+  Deployment::Config config =
+      make_config(SchedulerPolicy::kCosDag, CosKind::kLockFree, 2);
+  config.replica.broadcast.batch_timeout_us = 10'000'000;
+  Deployment deployment(config, [] { return std::make_unique<KvService>(); });
+  const KvService builder;
+  std::atomic<std::uint64_t> next{0};
+  SmrClient::Config client_config;
+  client_config.pipeline = 8;
+  deployment.add_client(client_config, [&] {
+    return builder.make_put(next.fetch_add(1) % 32, 1);
+  });
+  Counter& timer_proposals =
+      MetricsRegistry::global().counter("broadcast.timeout_proposals");
+  const std::uint64_t timer_before = timer_proposals.value();
+  const Stopwatch since_start;
+  deployment.start();
+  for (int t = 0; t < 1000 && deployment.total_client_completed() < kCommands;
+       ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(deployment.total_client_completed(), kCommands);
+  EXPECT_LT(since_start.elapsed_ns(), 5'000'000'000u);
+  EXPECT_EQ(timer_proposals.value(), timer_before);
+  deployment.stop();
+}
+
 }  // namespace
 }  // namespace psmr
