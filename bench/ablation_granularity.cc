@@ -8,125 +8,76 @@
 //
 // This bench runs that experiment: the striped COS with segment widths
 // swept from 1 (≈ fine-grained) to the full graph (≈ coarse-grained),
-// bracketed by the three paper implementations.
+// bracketed by the three paper implementations. Every configuration runs
+// through the shared run_ds_benchmark driver, at two points: light cost with
+// 10% writes (lock-free's regime) and moderate cost with 50% writes (where
+// striped beats both fine-grained and lock-free on 4 cores).
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "app/linked_list_service.h"
 #include "bench_util.h"
-#include "common/padded.h"
-#include "common/stopwatch.h"
 #include "cos/factory.h"
 #include "workload/ds_driver.h"
-#include "workload/generator.h"
 
 namespace {
 
-// Same harness as run_ds_benchmark, but with an explicit COS instance so
-// segment width can be configured.
-double run_striped(std::size_t width, int workers, double write_pct,
-                   psmr::ExecCost cost, std::uint64_t measure_ms) {
-  const std::size_t list_size = psmr::exec_cost_list_size(cost);
-  psmr::LinkedListService service(list_size);
-  // The segment-width knob is reachable through CosOptions now — exercise
-  // the factory path rather than constructing StripedCos by hand.
-  auto cos_ptr = psmr::make_cos({.kind = psmr::CosKind::kStriped,
-                                 .capacity = psmr::kPaperGraphSize,
-                                 .conflict = service.conflict(),
-                                 .segment_width = width});
-  psmr::Cos& cos = *cos_ptr;
-  auto commands = psmr::make_list_workload(1 << 15, write_pct, list_size, 7);
+struct Regime {
+  psmr::ExecCost cost;
+  double write_pct;
+};
 
-  std::atomic<bool> stop{false};
-  std::vector<psmr::Padded<std::atomic<std::uint64_t>>> completed(
-      static_cast<std::size_t>(workers));
-  std::thread scheduler([&] {
-    std::uint64_t id = 1;
-    std::size_t index = 0;
-    while (!stop.load(std::memory_order_relaxed)) {  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-      psmr::Command c = commands[index];
-      if (++index == commands.size()) index = 0;
-      c.id = id++;
-      if (!cos.insert(c)) return;
-    }
-  });
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      auto& counter = completed[static_cast<std::size_t>(w)].value;
-      while (true) {
-        psmr::CosHandle h = cos.get();
-        if (!h) return;
-        service.execute(*h.cmd);
-        cos.remove(h);
-        counter.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      }
-    });
-  }
-  auto total = [&] {
-    std::uint64_t t = 0;
-    for (const auto& c : completed) t += c.value.load(std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    return t;
-  };
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  const std::uint64_t before = total();
-  psmr::Stopwatch watch;
-  std::this_thread::sleep_for(std::chrono::milliseconds(measure_ms));
-  const std::uint64_t elapsed = watch.elapsed_ns();
-  const std::uint64_t after = total();
-  stop.store(true);
-  cos.close();
-  scheduler.join();
-  for (auto& t : threads) t.join();
-  return static_cast<double>(after - before) /
-         (static_cast<double>(elapsed) * 1e-9) / 1000.0;
+double run(const psmr::CosOptions& cos, const Regime& regime,
+           std::uint64_t measure_ms) {
+  psmr::DsDriverConfig config;
+  config.cos = cos;
+  config.cost = regime.cost;
+  config.write_pct = regime.write_pct;
+  config.workers = 4;
+  config.warmup_ms = 60;
+  config.measure_ms = measure_ms;
+  return psmr::run_ds_benchmark(config).throughput_kops;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = psmr::bench::parse_options(argc, argv);
-  const std::uint64_t ms = options.quick ? 100 : 250;
-  const int workers = 4;
-  const double write_pct = 10.0;
-  const auto cost = psmr::ExecCost::kLight;
-
-  std::printf("Ablation — lock granularity spectrum (light cost, %g%% "
-              "writes, %d workers)\n",
-              write_pct, workers);
-  std::printf("%24s %16s\n", "configuration", "kops/sec");
-
-  // Reference points: the three paper implementations.
-  for (psmr::CosKind kind :
-       {psmr::CosKind::kFineGrained, psmr::CosKind::kCoarseGrained,
-        psmr::CosKind::kLockFree}) {
-    psmr::DsDriverConfig config;
-    config.cos.kind = kind;
-    config.cost = cost;
-    config.write_pct = write_pct;
-    config.workers = workers;
-    config.warmup_ms = 60;
-    config.measure_ms = ms;
-    const auto result = psmr::run_ds_benchmark(config);
-    std::printf("%24s %16.1f\n", psmr::cos_kind_name(kind),
-                result.throughput_kops);
-    psmr::bench::csv_row("ablation_granularity", "real",
-                         psmr::cos_kind_name(kind), 0,
-                         result.throughput_kops);
-  }
-
+  const std::uint64_t ms = options.quick ? 100 : 400;
   const std::vector<std::size_t> widths =
       options.quick ? std::vector<std::size_t>{1, 16}
                     : std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 75, 150};
-  for (std::size_t width : widths) {
-    const double kops = run_striped(width, workers, write_pct, cost, ms);
-    const std::string label = "striped/width=" + std::to_string(width);
-    std::printf("%24s %16.1f\n", label.c_str(), kops);
-    psmr::bench::csv_row("ablation_granularity", "real", "striped",
-                         static_cast<double>(width), kops);
+
+  std::printf("Ablation — lock granularity spectrum (4 workers)\n");
+  for (const Regime& regime : {Regime{psmr::ExecCost::kLight, 10.0},
+                               Regime{psmr::ExecCost::kModerate, 50.0}}) {
+    const std::string prefix =
+        std::string(psmr::exec_cost_name(regime.cost)) + "-w" +
+        std::to_string(static_cast<int>(regime.write_pct)) + "/";
+    std::printf("\n%s cost, %g%% writes\n%24s %16s\n",
+                psmr::exec_cost_name(regime.cost), regime.write_pct,
+                "configuration", "kops/sec");
+
+    // Reference points: the three paper implementations.
+    for (psmr::CosKind kind :
+         {psmr::CosKind::kFineGrained, psmr::CosKind::kCoarseGrained,
+          psmr::CosKind::kLockFree}) {
+      const double kops = run({.kind = kind}, regime, ms);
+      std::printf("%24s %16.1f\n", psmr::cos_kind_name(kind), kops);
+      psmr::bench::csv_row("ablation_granularity", "real",
+                           (prefix + psmr::cos_kind_name(kind)).c_str(), 0,
+                           kops);
+    }
+    for (std::size_t width : widths) {
+      const double kops = run(
+          {.kind = psmr::CosKind::kStriped, .segment_width = width}, regime,
+          ms);
+      const std::string label = "striped/width=" + std::to_string(width);
+      std::printf("%24s %16.1f\n", label.c_str(), kops);
+      psmr::bench::csv_row("ablation_granularity", "real",
+                           (prefix + "striped").c_str(),
+                           static_cast<double>(width), kops);
+    }
   }
   psmr::bench::csv_flush();
   return 0;

@@ -6,7 +6,7 @@
 //  (1) end-to-end lock-free COS throughput with EBR vs. leak-until-teardown
 //      (the leak mode approximates "a GC that never runs": an upper bound
 //      on how much reclamation could possibly cost on the hot path);
-//  (2) the raw cost of a retire under EBR vs. hazard pointers;
+//  (2) the raw cost of an EBR retire;
 //  (3) EBR bookkeeping left pending at the end of a run (bounded limbo).
 #include <cstdio>
 #include <thread>
@@ -16,7 +16,6 @@
 #include "common/stopwatch.h"
 #include "cos/lock_free.h"
 #include "memory/ebr.h"
-#include "memory/hazard.h"
 #include "app/linked_list_service.h"
 
 namespace {
@@ -71,7 +70,7 @@ double run_lockfree(LockFreeReclaim mode, int workers, std::uint64_t ms,
          (static_cast<double>(elapsed) * 1e-9) / 1000.0;
 }
 
-void raw_retire_costs() {
+void raw_retire_cost() {
   constexpr int kObjects = 200000;
 
   psmr::EbrDomain ebr;
@@ -82,17 +81,9 @@ void raw_retire_costs() {
   const double ebr_ns =
       static_cast<double>(ebr_watch.elapsed_ns()) / kObjects;
 
-  psmr::HazardDomain<2> hp;
-  psmr::Stopwatch hp_watch;
-  for (int i = 0; i < kObjects; ++i) hp.retire(new int(i));
-  hp.scan();
-  const double hp_ns = static_cast<double>(hp_watch.elapsed_ns()) / kObjects;
-
   std::printf("\nraw retire+reclaim cost per object:\n");
   std::printf("  EBR:            %8.1f ns\n", ebr_ns);
-  std::printf("  hazard ptrs:    %8.1f ns\n", hp_ns);
   psmr::bench::csv_row("ablation_reclaim", "real", "retire/ebr", 0, ebr_ns);
-  psmr::bench::csv_row("ablation_reclaim", "real", "retire/hp", 0, hp_ns);
 }
 
 }  // namespace
@@ -117,7 +108,7 @@ int main(int argc, char** argv) {
                            workers, kops);
     }
   }
-  raw_retire_costs();
+  raw_retire_cost();
   psmr::bench::csv_flush();
   return 0;
 }

@@ -63,11 +63,10 @@ inline constexpr int kTransport = 300;       // TcpTransport/SimNetwork mu_
 inline constexpr int kQueue = 400;           // BlockingQueue::mu_
 inline constexpr int kCosMonitor = 500;      // CoarseGrainedCos::mu_
 inline constexpr int kCosSegment = 520;      // StripedCos segment locks
-inline constexpr int kCosShard = 530;        // ParallelInsertCos shard locks
 inline constexpr int kCosIndex = 540;        // FineGrainedCos::index_mu_
 inline constexpr int kCosNode = 560;         // FineGrainedCos node locks
 inline constexpr int kSemaphore = 700;       // Semaphore::mu_ (COS blocking)
-inline constexpr int kReclaim = 800;         // EBR / hazard limbo lists
+inline constexpr int kReclaim = 800;         // EBR limbo lists
 
 // Per-thread multiset of held ranks. Sized for the deepest legal chain
 // (client -> broadcast -> transport -> queue is four; hand-over-hand holds

@@ -40,8 +40,8 @@ namespace psmr {
 #if PSMR_SPSC_CHECKS
 namespace spsc_detail {
 // Thread identity as the address of a thread_local anchor — unique per live
-// thread, comparable without <thread> (same scheme as the EBR/hazard
-// single-remover checks).
+// thread, comparable without <thread> (same scheme as the EBR
+// single-remover check).
 inline std::uintptr_t thread_identity() {
   thread_local char anchor;
   return reinterpret_cast<std::uintptr_t>(&anchor);

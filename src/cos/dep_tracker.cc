@@ -11,6 +11,14 @@ std::size_t pow2_at_least(std::size_t n) {
   return cap;
 }
 
+// splitmix64 finalizer — the full-avalanche mix KeyIndex probes with.
+std::uint64_t key_index_hash(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 KeyIndex::KeyIndex(std::size_t expected_keys) {

@@ -53,18 +53,6 @@ inline void debug_assert_sorted_span(std::span<const std::uint64_t> keys) {
   (void)keys;
 }
 
-// splitmix64 finalizer — the full-avalanche mix KeyIndex probes with.
-// Exposed so the sharded parallel-insert scheduler can derive its
-// shard-of-key function from *high* bits of the same hash: KeyIndex consumes
-// the low bits for slot selection, so disjoint bit ranges keep each shard's
-// table uniformly loaded instead of striding it.
-inline std::uint64_t key_index_hash(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 class KeyIndex {
  public:
   struct Entry {

@@ -1,12 +1,10 @@
 #include "cos/factory.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "cos/coarse_grained.h"
 #include "cos/fine_grained.h"
 #include "cos/lock_free.h"
-#include "cos/parallel_insert.h"
 #include "cos/striped.h"
 
 namespace psmr {
@@ -30,20 +28,6 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options) {
                                           options.indexed);
   }
   std::abort();  // unreachable: the switch above is exhaustive over CosKind
-}
-
-std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options) {
-  if (!options.indexed ||
-      conflict_key_extractor(options.conflict) == nullptr) {
-    return make_cos(options);  // no key space to shard; serial DAG fallback
-  }
-  const std::size_t shards = options.insert_shards != 0
-                                 ? options.insert_shards
-                                 : 4 * std::max<std::size_t>(
-                                           options.inserter_threads, 1);
-  return std::make_unique<ParallelInsertCos>(options.capacity,
-                                             options.conflict, shards,
-                                             options.inserter_threads);
 }
 
 bool parse_cos_kind(std::string_view name, CosKind* out) {
@@ -80,8 +64,6 @@ bool parse_scheduler_policy(std::string_view name, SchedulerPolicy* out) {
     *out = SchedulerPolicy::kCosDag;
   } else if (name == "early" || name == "early-scheduling") {
     *out = SchedulerPolicy::kEarlyScheduling;
-  } else if (name == "parallel-insert" || name == "pinsert") {
-    *out = SchedulerPolicy::kParallelInsert;
   } else if (name == "sequential" || name == "seq") {
     *out = SchedulerPolicy::kSequential;
   } else {
@@ -96,8 +78,6 @@ const char* scheduler_policy_name(SchedulerPolicy policy) {
       return "cos-dag";
     case SchedulerPolicy::kEarlyScheduling:
       return "early";
-    case SchedulerPolicy::kParallelInsert:
-      return "parallel-insert";
     case SchedulerPolicy::kSequential:
       return "sequential";
   }

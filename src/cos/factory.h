@@ -23,7 +23,6 @@ enum class CosKind {
 enum class SchedulerPolicy {
   kCosDag,          // parallel SMR: every command goes through the COS DAG
   kEarlyScheduling, // class-routed per-worker queues; DAG only for barriers
-  kParallelInsert,  // sharded key-index DAG; pooled inserter threads
   kSequential,      // classical SMR: the scheduler executes everything
 };
 
@@ -51,23 +50,9 @@ struct CosOptions {
   // Striped DAG only: nodes per segment lock (the granularity spectrum's
   // dial; 1 behaves like fine-grained, huge widths like coarse-grained).
   std::size_t segment_width = 16;
-  // Parallel-insert scheduling (SchedulerPolicy::kParallelInsert /
-  // make_parallel_insert_cos) only. Key-space shards, rounded up to a power
-  // of two; 0 = auto (4x the inserter threads, so the static
-  // shard-to-thread assignment balances even under moderate skew).
-  std::size_t insert_shards = 0;
-  // Dependency-probe pool size; clamped to [1, shards]. 1 reproduces the
-  // single-inserter pipeline (the ablation baseline).
-  std::size_t inserter_threads = 2;
 };
 
 std::unique_ptr<Cos> make_cos(const CosOptions& options);
-
-// Builds the sharded parallel-insert COS (cos/parallel_insert.h) when the
-// relation is per-key-decomposable and `indexed` is on; otherwise falls
-// back to make_cos(options) — opaque relations have no key space to shard,
-// so the serial pairwise DAG keeps its semantics.
-std::unique_ptr<Cos> make_parallel_insert_cos(const CosOptions& options);
 
 // Parses "coarse-grained" / "fine-grained" / "lock-free" / "striped" (also
 // accepts the short forms "coarse", "fine", "lockfree"). Returns false on
@@ -76,9 +61,8 @@ bool parse_cos_kind(std::string_view name, CosKind* out);
 
 const char* cos_kind_name(CosKind kind);
 
-// Parses "cos-dag" / "early" / "parallel-insert" / "sequential" (also
-// accepts "dag", "early-scheduling", "pinsert", "seq"). Returns false on
-// unknown names.
+// Parses "cos-dag" / "early" / "sequential" (also accepts "dag",
+// "early-scheduling", "seq"). Returns false on unknown names.
 bool parse_scheduler_policy(std::string_view name, SchedulerPolicy* out);
 
 const char* scheduler_policy_name(SchedulerPolicy policy);

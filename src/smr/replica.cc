@@ -30,20 +30,12 @@ Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
   if (config_.policy != SchedulerPolicy::kSequential) {
     CosOptions cos_options = config_.cos;
     cos_options.conflict = service_->conflict();
-    if (config_.policy == SchedulerPolicy::kParallelInsert) {
-      // Falls back to the serial DAG when the service's relation is opaque
-      // (no key space to shard).
-      cos_ = make_parallel_insert_cos(cos_options);
+    auto dag = make_cos(cos_options);
+    if (config_.policy == SchedulerPolicy::kEarlyScheduling) {
+      cos_ = std::make_unique<EarlyCos>(std::move(dag), service_->class_map(),
+                                        config_.workers, cos_options.capacity);
     } else {
-      auto dag = make_cos(cos_options);
-      if (config_.policy == SchedulerPolicy::kEarlyScheduling) {
-        cos_ = std::make_unique<EarlyCos>(std::move(dag),
-                                          service_->class_map(),
-                                          config_.workers,
-                                          cos_options.capacity);
-      } else {
-        cos_ = std::move(dag);
-      }
+      cos_ = std::move(dag);
     }
   }
 }

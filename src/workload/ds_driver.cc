@@ -16,17 +16,10 @@ DsDriverResult run_ds_benchmark(const DsDriverConfig& config) {
   LinkedListService service(list_size);
   CosOptions cos_options = config.cos;
   cos_options.conflict = service.conflict();
-  std::unique_ptr<Cos> cos;
-  if (config.policy == SchedulerPolicy::kParallelInsert) {
-    // The list relation is opaque (no key extractor), so this resolves to
-    // the serial DAG fallback; kept so a policy sweep over the driver works.
-    cos = make_parallel_insert_cos(cos_options);
-  } else {
-    cos = make_cos(cos_options);
-    if (config.policy == SchedulerPolicy::kEarlyScheduling) {
-      cos = std::make_unique<EarlyCos>(std::move(cos), service.class_map(),
-                                       config.workers, cos_options.capacity);
-    }
+  std::unique_ptr<Cos> cos = make_cos(cos_options);
+  if (config.policy == SchedulerPolicy::kEarlyScheduling) {
+    cos = std::make_unique<EarlyCos>(std::move(cos), service.class_map(),
+                                     config.workers, cos_options.capacity);
   }
 
   auto commands = make_list_workload(config.precreated_commands,

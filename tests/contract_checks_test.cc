@@ -1,20 +1,15 @@
 // Death tests for the runtime contract checks added alongside the
-// lock-rank checker (lock_rank_test.cc):
-//   - SpscRing's single-producer/single-consumer thread-identity asserts
-//     (common/spsc_ring.h, PSMR_SPSC_CHECKS), and
-//   - HazardDomain's single-remover discipline (memory/hazard.h), the
-//     parity twin of EbrDomain::debug_expect_single_remover().
+// lock-rank checker (lock_rank_test.cc): SpscRing's single-producer/
+// single-consumer thread-identity asserts (common/spsc_ring.h,
+// PSMR_SPSC_CHECKS).
 //
-// Both facilities are header-only, so this TU forces the checks on before
-// including them — the checking logic is exercised in every build type,
-// exactly like lock_rank_test instantiating CheckedRankedMutex directly.
-// No other TU in this binary includes these headers, so the forced macros
-// cannot ODR-clash.
-#define PSMR_MEMORY_DEBUG 1
+// The ring is header-only, so this TU forces the checks on before including
+// it — the checking logic is exercised in every build type, exactly like
+// lock_rank_test instantiating CheckedRankedMutex directly. No other TU in
+// this binary includes the header, so the forced macro cannot ODR-clash.
 #define PSMR_SPSC_CHECKS 1
 
 #include "common/spsc_ring.h"
-#include "memory/hazard.h"
 
 #include <thread>
 
@@ -105,40 +100,6 @@ TEST(SpscChecks, ResetRolesAllowsSynchronizedHandoff) {
   ring.debug_reset_roles();
   EXPECT_TRUE(ring.try_push(2));  // this thread is the new producer
   EXPECT_EQ(ring.try_pop().value(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// HazardDomain single-remover discipline
-// ---------------------------------------------------------------------------
-
-TEST(HazardSingleRemoverDeathTest, RetireFromSecondThreadAborts) {
-  PSMR_SKIP_IF_TSAN();
-  ASSERT_DEATH(
-      {
-        HazardDomain<2> dom;
-        dom.debug_expect_single_remover();
-        dom.retire(new int(1));  // main thread claims the remover identity
-        std::thread second([&] { dom.retire(new int(2)); });
-        second.join();
-      },
-      "HazardDomain: single-remover invariant violated");
-}
-
-TEST(HazardSingleRemover, SingleThreadRetiresFreely) {
-  HazardDomain<2> dom;
-  dom.debug_expect_single_remover();
-  for (int i = 0; i < 100; ++i) dom.retire(new int(i));
-  dom.drain_all_unsafe();
-  EXPECT_EQ(dom.retired_pending(), 0u);
-}
-
-TEST(HazardSingleRemover, WithoutOptInAnyThreadMayRetire) {
-  HazardDomain<2> dom;
-  dom.retire(new int(1));
-  std::thread second([&] { dom.retire(new int(2)); });
-  second.join();
-  dom.drain_all_unsafe();
-  EXPECT_EQ(dom.retired_pending(), 0u);
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 // insert/get/remove traffic must expose — via debug_edges() — exactly the
 // dependency set the pairwise definition prescribes: an edge (a, b) for
 // every live pair with a inserted before b and keyset_rw_conflict(a, b).
-// Each instance is checked against its own pairwise model (removal order is
-// implementation-dependent, so the indexed and scan instances each get a
-// model mirroring their own removals), and the scan instance is checked the
-// same way so the test would also catch a regression in the fallback path.
+// The traffic includes the shapes a key index can get wrong: duplicate-key
+// commands ({k, k}, which must register and probe once) and empty key sets
+// (which conflict with nothing). Each instance is checked against its own
+// pairwise model (removal order is implementation-dependent, so the indexed
+// and scan instances each get a model mirroring their own removals), and
+// the scan instance is checked the same way so the test would also catch a
+// regression in the fallback path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -283,7 +286,13 @@ void run_equivalence(CosKind kind, bool indexed, std::uint64_t key_space,
            model.live_count() < kWindow) {
       Command c;
       const bool write = rng.uniform() < 0.3;
-      if (rng.uniform() < 0.3) {  // two-key command (transfer-shaped)
+      const double shape = rng.uniform();
+      if (shape < 0.03) {  // empty key set
+        c = keyed_cmd(next_id, 0, 0, 0, write);
+      } else if (shape < 0.06) {  // duplicate key {k, k}
+        const std::uint64_t k = rng.below(key_space);
+        c = keyed_cmd(next_id, k, k, 2, write);
+      } else if (shape < 0.36) {  // two-key command (transfer-shaped)
         std::uint64_t a = rng.below(key_space);
         std::uint64_t b = rng.below(key_space);
         if (a == b) b = (b + 1) % key_space;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "memory/ebr.h"
-#include "memory/hazard.h"
 
 namespace psmr {
 namespace {
@@ -140,178 +139,17 @@ TEST(Ebr, MovedGuardKeepsPin) {
   EXPECT_EQ(alive.load(), 0);
 }
 
-// ---------------------------------------------------------------------------
-// Hazard pointers
-// ---------------------------------------------------------------------------
-
-TEST(Hazard, UnprotectedRetireIsFreedOnScan) {
-  std::atomic<int> alive{0};
-  HazardDomain<2> domain;
-  domain.retire(new Tracked(alive));
-  domain.scan();
-  EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Hazard, ProtectedPointerSurvivesScan) {
-  std::atomic<int> alive{0};
-  HazardDomain<2> domain;
-  auto* obj = new Tracked(alive);
-  std::atomic<Tracked*> shared{obj};
-
-  auto hazards = domain.hazards();
-  Tracked* protected_ptr = hazards.protect(0, shared);
-  EXPECT_EQ(protected_ptr, obj);
-
-  shared.store(nullptr);
-  domain.retire(obj);
-  domain.scan();
-  EXPECT_EQ(alive.load(), 1);  // hazard held
-
-  hazards.clear();
-  domain.scan();
-  EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Hazard, ProtectFollowsConcurrentSwaps) {
-  // protect() must return a value that was in the source at protection
-  // time; under a racing writer it simply re-reads until stable.
-  std::atomic<int> alive{0};
-  HazardDomain<1> domain;
-  auto* a = new Tracked(alive);
-  auto* b = new Tracked(alive);
-  std::atomic<Tracked*> shared{a};
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    while (!stop.load()) {
-      shared.store(a);
-      shared.store(b);
-    }
-  });
-  auto hazards = domain.hazards();
-  for (int i = 0; i < 10000; ++i) {
-    Tracked* p = hazards.protect(0, shared);
-    ASSERT_TRUE(p == a || p == b);
-  }
-  stop.store(true);
-  flipper.join();
-  hazards.clear();
-  delete a;
-  delete b;
-}
-
-TEST(Hazard, DrainFreesEverythingAtDestruction) {
-  std::atomic<int> alive{0};
-  {
-    HazardDomain<2> domain;
-    for (int i = 0; i < 50; ++i) domain.retire(new Tracked(alive));
-  }
-  EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Hazard, SequentialDomainsDoNotAliasRegistrations) {
+TEST(Ebr, SequentialDomainsDoNotAliasRegistrations) {
   // Regression: consecutive domains often reuse the same stack address; the
   // thread-local registration cache must not hand the second domain the
   // first domain's (stale) record, or retires land in a slot the new domain
   // never drains.
   std::atomic<int> alive{0};
   for (int round = 0; round < 5; ++round) {
-    HazardDomain<2> domain;
-    for (int i = 0; i < 10; ++i) domain.retire(new Tracked(alive));
-    // Destructor drains; the count must return to zero every round.
-  }
-  EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Ebr, SequentialDomainsDoNotAliasRegistrations) {
-  std::atomic<int> alive{0};
-  for (int round = 0; round < 5; ++round) {
     EbrDomain domain;
     for (int i = 0; i < 10; ++i) domain.retire(new Tracked(alive));
   }
   EXPECT_EQ(alive.load(), 0);
-}
-
-// A Treiber stack exercising hazard pointers end-to-end: concurrent pushes
-// and pops with reclamation, verifying no element is lost or duplicated.
-class TreiberStack {
- public:
-  struct Node {
-    int value;
-    Node* next;
-  };
-
-  explicit TreiberStack(HazardDomain<1>& domain) : domain_(domain) {}
-
-  ~TreiberStack() {
-    Node* node = head_.load();
-    while (node != nullptr) {
-      Node* next = node->next;
-      delete node;
-      node = next;
-    }
-  }
-
-  void push(int value) {
-    auto* node = new Node{value, head_.load(std::memory_order_relaxed)};  // NOLINT(psmr-relaxed-order-audit) CAS loop re-validates; the success CAS orders
-    while (!head_.compare_exchange_weak(node->next, node,
-                                        std::memory_order_seq_cst)) {
-    }
-  }
-
-  bool pop(int* out) {
-    auto hazards = domain_.hazards();
-    while (true) {
-      Node* top = hazards.protect(0, head_);
-      if (top == nullptr) {
-        hazards.clear();
-        return false;
-      }
-      Node* next = top->next;
-      if (head_.compare_exchange_strong(top, next,
-                                        std::memory_order_seq_cst)) {
-        *out = top->value;
-        hazards.clear();
-        domain_.retire(top);
-        return true;
-      }
-    }
-  }
-
- private:
-  HazardDomain<1>& domain_;
-  std::atomic<Node*> head_{nullptr};
-};
-
-TEST(Hazard, TreiberStackStress) {
-  HazardDomain<1> domain;
-  TreiberStack stack(domain);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  std::atomic<long long> popped_sum{0};
-  std::atomic<int> popped_count{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        stack.push(t * kPerThread + i);
-        int v;
-        if (stack.pop(&v)) {
-          popped_sum.fetch_add(v);
-          popped_count.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Drain what remains.
-  int v;
-  while (stack.pop(&v)) {
-    popped_sum.fetch_add(v);
-    popped_count.fetch_add(1);
-  }
-  const long long n = kThreads * kPerThread;
-  EXPECT_EQ(popped_count.load(), n);
-  EXPECT_EQ(popped_sum.load(), n * (n - 1) / 2);
 }
 
 }  // namespace

@@ -91,8 +91,6 @@ std::string smr_param_name(const ::testing::TestParamInfo<SmrParam>& info) {
   }
   if (info.param.policy == SchedulerPolicy::kEarlyScheduling) {
     name = "Early" + name;
-  } else if (info.param.policy == SchedulerPolicy::kParallelInsert) {
-    name = "ParallelInsert" + name;
   }
   return name + "_w" + std::to_string(info.param.workers);
 }
@@ -152,11 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
         SmrParam{SchedulerPolicy::kCosDag, CosKind::kLockFree, 4},
         SmrParam{SchedulerPolicy::kCosDag, CosKind::kLockFree, 8},
         SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 2},
-        SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 4},
-        // The list relation is opaque, so parallel-insert resolves to the
-        // serial-DAG fallback here; this covers the replica policy plumbing.
-        // The keyed sharded path runs in SmrBank below.
-        SmrParam{SchedulerPolicy::kParallelInsert, CosKind::kLockFree, 4}),
+        SmrParam{SchedulerPolicy::kEarlyScheduling, CosKind::kLockFree, 4}),
     smr_param_name);
 
 // Runs under both the DAG and early-scheduling policies: the transfer mix
@@ -210,12 +204,6 @@ TEST(SmrBank, TransfersConserveMoneyAcrossReplicas) {
 
 TEST(SmrBank, TransfersConserveMoneyUnderEarlyScheduling) {
   run_bank_conservation(SchedulerPolicy::kEarlyScheduling);
-}
-
-// The bank relation is per-key-decomposable, so this runs the sharded
-// parallel-insert pipeline (pooled inserter threads) end to end.
-TEST(SmrBank, TransfersConserveMoneyUnderParallelInsert) {
-  run_bank_conservation(SchedulerPolicy::kParallelInsert);
 }
 
 TEST(SmrKv, PerKeyConflictsStillLinearizePerKey) {

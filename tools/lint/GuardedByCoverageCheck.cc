@@ -25,8 +25,7 @@ constexpr char kDefaultMutexTypes[] =
 constexpr char kDefaultSelfSync[] =
     "psmr::CondVar;std::condition_variable;std::condition_variable_any;"
     "psmr::Semaphore;psmr::BlockingQueue;psmr::SpscRing;psmr::Counter;"
-    "psmr::Gauge;psmr::Histogram;psmr::EbrDomain;psmr::HazardDomain;"
-    "std::thread;std::jthread";
+    "psmr::Gauge;psmr::Histogram;psmr::EbrDomain;std::thread;std::jthread";
 
 bool contains(const std::vector<std::string> &Haystack,
               const std::string &Needle) {

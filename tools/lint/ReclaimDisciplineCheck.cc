@@ -76,7 +76,7 @@ void ReclaimDisciplineCheck::check(const MatchFinder::MatchResult &Result) {
     return;
   diag(Site->getBeginLoc(),
        "%0 %1 outside its COS implementation — node lifetime must flow "
-       "through the owning factory and the EBR/hazard retire path (reclaim "
+       "through the owning factory and the EBR retire path (reclaim "
        "discipline, DESIGN.md §8); freeing here races lock-free readers")
       << Name << Verb;
 }

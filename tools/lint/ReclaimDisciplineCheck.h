@@ -2,10 +2,9 @@
 // the COS implementations and the memory library.
 //
 // Concurrent readers traverse COS nodes without locks; a node freed outside
-// the EBR/hazard retire paths is a use-after-free waiting for the right
+// the EBR retire path is a use-after-free waiting for the right
 // interleaving. Node lifetime must flow through the owning COS .cc file
-// (which hands frees to EbrDomain/HazardDomain) — nothing else allocates or
-// frees them.
+// (which hands frees to EbrDomain) — nothing else allocates or frees them.
 #ifndef PSMR_TOOLS_LINT_RECLAIM_DISCIPLINE_CHECK_H
 #define PSMR_TOOLS_LINT_RECLAIM_DISCIPLINE_CHECK_H
 

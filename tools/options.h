@@ -144,16 +144,12 @@ struct SchedulerFlags {
   std::string policy = "cos-dag";  // parse_scheduler_policy spelling
   std::size_t graph_size = kPaperGraphSize;
   int workers = 4;
-  std::size_t insert_shards = 0;     // --policy=parallel-insert: 0 = auto
-  std::size_t inserter_threads = 2;  // --policy=parallel-insert probe pool
 
   void register_with(FlagSet* flags) {
     flags->add_string("--cos", &cos);
     flags->add_string("--policy", &policy);
     flags->add_size("--graph-size", &graph_size);
     flags->add_int("--workers", &workers);
-    flags->add_size("--insert-shards", &insert_shards);
-    flags->add_size("--inserter-threads", &inserter_threads);
   }
 
   // Resolves the textual spellings; prints to stderr and returns false on
@@ -175,8 +171,6 @@ struct SchedulerFlags {
     CosOptions options;
     options.kind = kind;
     options.capacity = graph_size;
-    options.insert_shards = insert_shards;
-    options.inserter_threads = inserter_threads;
     return options;
   }
 };
