@@ -1,9 +1,9 @@
 // Unbounded MPMC blocking queue with close() semantics.
 //
-// Used as the inbox of simulated-network endpoints and as the hand-off
+// Used as the inbox of TcpTransport's dispatcher and as the hand-off
 // between the atomic-broadcast delivery path and the replica scheduler.
 //
-// Locking: transports push() while holding their own mutex, so mu_ ranks
+// Locking: TcpTransport push()es while holding its own mutex, so mu_ ranks
 // below the transport layer and above the COS locks the scheduler takes
 // after popping (DESIGN.md "Lock hierarchy").
 #pragma once

@@ -60,6 +60,7 @@ inline constexpr int kSmrClient = 100;       // SmrClient::mu_
 inline constexpr int kReplicaClients = 120;  // Replica::clients_mu_
 inline constexpr int kBroadcast = 200;       // SequencedBroadcast::mu_
 inline constexpr int kTransport = 300;       // TcpTransport/SimNetwork mu_
+inline constexpr int kSimInbox = 350;        // SimNetwork endpoint inboxes
 inline constexpr int kQueue = 400;           // BlockingQueue::mu_
 inline constexpr int kCosMonitor = 500;      // CoarseGrainedCos::mu_
 inline constexpr int kCosSegment = 520;      // StripedCos segment locks

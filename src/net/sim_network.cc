@@ -11,9 +11,7 @@ SimNetwork::SimNetwork(Config config)
       rng_(config.seed),
       metrics_{MetricsRegistry::global().counter("net.sim.delivered"),
                MetricsRegistry::global().counter("net.sim.dropped"),
-               MetricsRegistry::global().gauge("net.sim.inflight")} {
-  delivery_thread_ = std::thread([this] { delivery_loop(); });
-}
+               MetricsRegistry::global().gauge("net.sim.inflight")} {}
 
 SimNetwork::~SimNetwork() { shutdown(); }
 
@@ -21,21 +19,10 @@ NodeId SimNetwork::add_endpoint(Handler handler) {
   MutexLock lock(mu_);
   const NodeId id = static_cast<NodeId>(endpoints_.size());
   auto endpoint = std::make_unique<Endpoint>();
+  endpoint->id = id;
   endpoint->handler = std::move(handler);
   Endpoint* raw = endpoint.get();
-  endpoint->dispatcher = std::thread([this, raw] {
-    while (auto item = raw->inbox.pop()) {
-      // remove_endpoint closes the inbox and joins this thread; drop (do
-      // not dispatch) whatever the close left behind — the handler's owner
-      // is being destroyed.
-      if (raw->removed.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-        metrics_.dropped.inc();
-        continue;
-      }
-      raw->handler(item->first, std::move(item->second));
-    }
-  });
+  endpoint->dispatcher = std::thread([this, raw] { dispatch_loop(*raw); });
   endpoints_.push_back(std::move(endpoint));
   return id;
 }
@@ -45,34 +32,46 @@ void SimNetwork::send(NodeId from, NodeId to, MessagePtr msg) {
   if (stopping_) return;
   const auto n = static_cast<NodeId>(endpoints_.size());
   if (to < 0 || to >= n || from < 0 || from >= n) return;
-  if (endpoints_[static_cast<std::size_t>(from)]->crashed.load(
-          std::memory_order_relaxed)) {  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    metrics_.dropped.inc();
+  const Endpoint& sender = *endpoints_[static_cast<std::size_t>(from)];
+  if (sender.crashed.load(std::memory_order_relaxed)) {  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+    count_dropped(1);
     return;
   }
   if (config_.drop_rate > 0.0 && rng_.uniform() < config_.drop_rate) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-    metrics_.dropped.inc();
+    count_dropped(1);
     return;
   }
   const std::uint64_t latency_ns =
       (config_.base_latency_us +
        (config_.jitter_us > 0 ? rng_.below(config_.jitter_us) : 0)) *
       1000ull;
+  // crash() and remove_endpoint() set these flags and close the inbox
+  // under mu_, so under mu_ an open inbox is exactly an unflagged one.
+  Endpoint& receiver = *endpoints_[static_cast<std::size_t>(to)];
+  if (receiver.crashed.load(std::memory_order_relaxed) ||  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+      receiver.removed.load(std::memory_order_acquire)) {
+    count_dropped(1);
+    return;
+  }
   std::uint64_t deliver_at = now_ns() + latency_ns;
   // Enforce per-link FIFO: never schedule before an earlier message on the
   // same link.
   auto& last = last_delivery_[{from, to}];
   deliver_at = std::max(deliver_at, last + 1);
   last = deliver_at;
-  // The delivery thread sleeps until the head's deadline; only a message
+  // The dispatcher sleeps until its inbox head's deadline; only a message
   // that becomes the new head needs to wake it.
-  const bool new_head =
-      queue_.empty() || deliver_at < queue_.top().deliver_at_ns;
-  queue_.push({deliver_at, next_sequence_++, from, to, std::move(msg)});
+  bool new_head = false;
+  {
+    MutexLock inbox_lock(receiver.inbox_mu);
+    auto& inbox = receiver.inbox;
+    new_head = inbox.empty() || deliver_at < inbox.front().deliver_at_ns;
+    inbox.push_back(
+        {deliver_at, next_sequence_++, from, &sender, std::move(msg)});
+    std::push_heap(inbox.begin(), inbox.end(), later);
+  }
   metrics_.inflight.add(1);
-  if (new_head) cv_.notify_one();
+  if (new_head) receiver.inbox_cv.notify_one();
 }
 
 bool SimNetwork::link_up_locked(NodeId a, NodeId b) const {
@@ -88,21 +87,18 @@ void SimNetwork::set_link(NodeId a, NodeId b, bool up) {
   } else {
     cut_links_.insert({key.first, key.second});
   }
+  cut_link_count_.store(cut_links_.size(), std::memory_order_release);
 }
 
 void SimNetwork::crash(NodeId node) {
-  Endpoint* endpoint = nullptr;
-  {
-    MutexLock lock(mu_);
-    if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return;
-    endpoint = endpoints_[static_cast<std::size_t>(node)].get();
-    endpoint->crashed.store(true, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-    // Drop its queued traffic now and forget its per-link FIFO state:
-    // long-running fault tests crash many endpoints, and dead links must
-    // not accumulate.
-    purge_node_locked(node);
-  }
-  endpoint->inbox.close();
+  MutexLock lock(mu_);
+  if (node < 0 || node >= static_cast<NodeId>(endpoints_.size())) return;
+  endpoints_[static_cast<std::size_t>(node)]->crashed.store(
+      true, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+  // Drop its queued traffic now and forget its per-link FIFO state:
+  // long-running fault tests crash many endpoints, and dead links must not
+  // accumulate.
+  purge_node_locked(node);
 }
 
 void SimNetwork::remove_endpoint(NodeId node) {
@@ -117,10 +113,10 @@ void SimNetwork::remove_endpoint(NodeId node) {
       purge_node_locked(node);
     }
   }
-  if (endpoint == nullptr) return;
-  // Close and join outside mu_: the handler may be inside send() right now.
-  endpoint->inbox.close();
-  if (endpoint->dispatcher.joinable()) endpoint->dispatcher.join();
+  // Join outside mu_: the handler may be inside send() right now.
+  if (endpoint != nullptr && endpoint->dispatcher.joinable()) {
+    endpoint->dispatcher.join();
+  }
 }
 
 void SimNetwork::purge_node_locked(NodeId node) {
@@ -131,22 +127,46 @@ void SimNetwork::purge_node_locked(NodeId node) {
       ++it;
     }
   }
-  if (queue_.empty()) return;
-  std::vector<InFlight> survivors;
-  survivors.reserve(queue_.size());
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the copy is cheap (shared_ptr payload).
-    InFlight item = queue_.top();
-    queue_.pop();
-    if (item.to == node || item.from == node) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.dropped.inc();
-      metrics_.inflight.sub(1);
-    } else {
-      survivors.push_back(std::move(item));
+  for (auto& endpoint : endpoints_) {
+    if (endpoint->id == node) {
+      close_inbox(*endpoint);
+      continue;
     }
+    std::vector<InFlight> purged;
+    {
+      MutexLock inbox_lock(endpoint->inbox_mu);
+      auto& inbox = endpoint->inbox;
+      const auto keep_end = std::partition(
+          inbox.begin(), inbox.end(),
+          [node](const InFlight& item) { return item.from != node; });
+      if (keep_end == inbox.end()) continue;
+      purged.assign(std::make_move_iterator(keep_end),
+                    std::make_move_iterator(inbox.end()));
+      inbox.erase(keep_end, inbox.end());
+      std::make_heap(inbox.begin(), inbox.end(), later);
+    }
+    // A removed head only makes the dispatcher wake early and re-check.
+    metrics_.inflight.sub(static_cast<std::int64_t>(purged.size()));
+    count_dropped(purged.size());
   }
-  for (InFlight& item : survivors) queue_.push(std::move(item));
+}
+
+void SimNetwork::close_inbox(Endpoint& endpoint) {
+  std::vector<InFlight> dropped;
+  {
+    MutexLock lock(endpoint.inbox_mu);
+    endpoint.closed = true;
+    dropped.swap(endpoint.inbox);
+  }
+  endpoint.inbox_cv.notify_one();
+  metrics_.inflight.sub(static_cast<std::int64_t>(dropped.size()));
+  count_dropped(dropped.size());
+}
+
+void SimNetwork::count_dropped(std::uint64_t n) {
+  if (n == 0) return;
+  dropped_.fetch_add(n, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+  metrics_.dropped.inc(n);
 }
 
 std::size_t SimNetwork::link_state_entries() const {
@@ -156,7 +176,12 @@ std::size_t SimNetwork::link_state_entries() const {
 
 std::size_t SimNetwork::in_flight() const {
   MutexLock lock(mu_);
-  return queue_.size();
+  std::size_t total = 0;
+  for (const auto& endpoint : endpoints_) {
+    MutexLock inbox_lock(endpoint->inbox_mu);
+    total += endpoint->inbox.size();
+  }
+  return total;
 }
 
 bool SimNetwork::crashed(NodeId node) const {
@@ -166,62 +191,72 @@ bool SimNetwork::crashed(NodeId node) const {
       std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
 }
 
-void SimNetwork::delivery_loop() {
+bool SimNetwork::deliverable(const Endpoint& to, const InFlight& item) {
+  if (to.crashed.load(std::memory_order_relaxed) ||  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+      to.removed.load(std::memory_order_acquire) ||
+      item.sender->crashed.load(std::memory_order_relaxed)) {  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
+    return false;
+  }
+  if (cut_link_count_.load(std::memory_order_acquire) == 0) return true;
   MutexLock lock(mu_);
+  return link_up_locked(item.from, to.id);
+}
+
+void SimNetwork::dispatch_loop(Endpoint& endpoint) {
+  std::vector<InFlight> due;
   while (true) {
-    if (stopping_) return;
-    if (queue_.empty()) {
-      cv_.wait(mu_);
-      continue;
+    {
+      MutexLock lock(endpoint.inbox_mu);
+      auto& inbox = endpoint.inbox;
+      while (due.empty()) {
+        if (endpoint.closed) return;
+        if (inbox.empty()) {
+          endpoint.inbox_cv.wait(endpoint.inbox_mu);
+          continue;
+        }
+        const std::uint64_t now = now_ns();
+        const std::uint64_t head = inbox.front().deliver_at_ns;
+        if (head > now) {
+          endpoint.inbox_cv.wait_for(endpoint.inbox_mu,
+                                     std::chrono::nanoseconds(head - now));
+          continue;
+        }
+        // Take every due message at once: one wake-up per burst.
+        while (!inbox.empty() && inbox.front().deliver_at_ns <= now) {
+          std::pop_heap(inbox.begin(), inbox.end(), later);
+          due.push_back(std::move(inbox.back()));
+          inbox.pop_back();
+        }
+      }
     }
-    const std::uint64_t now = now_ns();
-    const InFlight& next = queue_.top();
-    if (next.deliver_at_ns > now) {
-      cv_.wait_for(mu_,
-                   std::chrono::nanoseconds(next.deliver_at_ns - now));
-      continue;
+    metrics_.inflight.sub(static_cast<std::int64_t>(due.size()));
+    // Handlers run without the inbox lock: they send, and a send to this
+    // endpoint pushes into this inbox.
+    for (InFlight& item : due) {
+      if (deliverable(endpoint, item)) {
+        delivered_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
+        metrics_.delivered.inc();
+        endpoint.handler(item.from, std::move(item.msg));
+      } else {
+        count_dropped(1);
+      }
     }
-    InFlight item = queue_.top();
-    queue_.pop();
-    metrics_.inflight.sub(1);
-    Endpoint& to = *endpoints_[static_cast<std::size_t>(item.to)];
-    const bool deliverable =
-        !to.crashed.load(std::memory_order_relaxed) &&  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-        !endpoints_[static_cast<std::size_t>(item.from)]->crashed.load(
-            std::memory_order_relaxed) &&  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
-        link_up_locked(item.from, item.to);
-    // Push outside the lock would be nicer, but the inbox push never
-    // blocks (unbounded queue), so holding mu_ here is bounded. A push to
-    // a closed inbox (removed endpoint) reports the message as dropped.
-    if (deliverable && to.inbox.push({item.from, std::move(item.msg)})) {
-      delivered_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.delivered.inc();
-    } else {
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
-      metrics_.dropped.inc();
-    }
+    due.clear();
   }
 }
 
 void SimNetwork::shutdown() {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (delivery_thread_.joinable()) delivery_thread_.join();
   // Snapshot the endpoints under mu_, then close/join outside it: a
   // dispatcher handler may call send(), which takes mu_.
   std::vector<Endpoint*> endpoints;
   {
     MutexLock lock(mu_);
+    if (stopping_) return;
+    stopping_ = true;
     endpoints.reserve(endpoints_.size());
     for (auto& endpoint : endpoints_) endpoints.push_back(endpoint.get());
   }
-  for (Endpoint* endpoint : endpoints) {
-    endpoint->inbox.close();
-  }
+  for (Endpoint* endpoint : endpoints) close_inbox(*endpoint);
   for (Endpoint* endpoint : endpoints) {
     if (endpoint->dispatcher.joinable()) endpoint->dispatcher.join();
   }

@@ -2,10 +2,12 @@
 //
 // Substitute for the paper's 7-machine 1 Gbps switched LAN: endpoints are
 // in-process actors; send() stamps each message with a delivery time (base
-// latency + seeded jitter), a delivery thread releases messages in time
-// order, and a per-endpoint dispatcher thread runs the endpoint's handler
-// sequentially (one message at a time per endpoint, like a socket read
-// loop).
+// latency + seeded jitter) and pushes it straight into the receiver's
+// time-ordered inbox. Each endpoint's dispatcher thread sleeps until its
+// inbox head is due, then runs the handler on every due message in time
+// order, one at a time (like a socket read loop). A message in transit
+// costs no thread anything: the receiver's dispatcher is the only hand-off,
+// as on a real LAN.
 //
 // Link semantics are TCP-like, matching what BFT-SMaRt assumes: reliable
 // and FIFO per (from, to) pair, unless a fault is injected — links can be
@@ -18,12 +20,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/metrics.h"
 #include "common/ranked_mutex.h"
 #include "common/rng.h"
@@ -64,7 +64,7 @@ class SimNetwork final : public Transport {
   void set_link(NodeId a, NodeId b, bool up) override;
 
   // Crashes an endpoint: all of its inbound and outbound traffic is dropped
-  // from now on (in-flight included). Its dispatcher drains and stops.
+  // from now on (in-flight included). Its dispatcher stops.
   void crash(NodeId node) override;
   bool crashed(NodeId node) const override;
 
@@ -74,7 +74,8 @@ class SimNetwork final : public Transport {
   void remove_endpoint(NodeId node) override;
 
   // Test hooks for the purge logic: per-link FIFO entries retained and
-  // messages currently queued for delivery.
+  // messages currently queued in inboxes, not yet due or not yet taken by
+  // their dispatcher.
   std::size_t link_state_entries() const;
   std::size_t in_flight() const;
 
@@ -86,30 +87,44 @@ class SimNetwork final : public Transport {
     return dropped_.load(std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) stat counter
   }
 
-  // Stops all threads. Called by the destructor; idempotent.
+  // Closes every inbox, counting what it held as dropped, and joins the
+  // dispatchers. Called by the destructor; idempotent.
   void shutdown() override;
 
  private:
+  struct Endpoint;
+
   struct InFlight {
     std::uint64_t deliver_at_ns;
     std::uint64_t sequence;  // tie-break, preserves send order
     NodeId from;
-    NodeId to;
+    const Endpoint* sender;  // for the delivery-time crash check
     MessagePtr msg;
-    bool operator>(const InFlight& other) const {
-      return deliver_at_ns != other.deliver_at_ns
-                 ? deliver_at_ns > other.deliver_at_ns
-                 : sequence > other.sequence;
-    }
   };
+  // Heap order for std::push_heap/pop_heap: the top is the earliest
+  // (deliver_at_ns, sequence).
+  static bool later(const InFlight& a, const InFlight& b) {
+    if (a.deliver_at_ns != b.deliver_at_ns) {
+      return a.deliver_at_ns > b.deliver_at_ns;
+    }
+    return a.sequence > b.sequence;
+  }
 
   struct Endpoint {
+    NodeId id = 0;
     Handler handler;
-    BlockingQueue<std::pair<NodeId, MessagePtr>> inbox;
+    // send() pushes while holding SimNetwork::mu_, so inbox_mu ranks
+    // after kTransport. The dispatcher never holds it across a handler.
+    RankedMutex<lock_rank::kSimInbox> inbox_mu;
+    CondVar inbox_cv;
+    std::vector<InFlight> inbox PSMR_GUARDED_BY(inbox_mu);  // min-heap
+    // Set by crash/remove_endpoint/shutdown: the inbox takes no more
+    // messages and the dispatcher returns.
+    bool closed PSMR_GUARDED_BY(inbox_mu) = false;
     std::thread dispatcher;
     std::atomic<bool> crashed{false};
     // Set by remove_endpoint; the dispatcher drops (not dispatches) any
-    // inbox remainder once it observes the flag.
+    // due message it already took once it observes the flag.
     std::atomic<bool> removed{false};
   };
 
@@ -120,30 +135,38 @@ class SimNetwork final : public Transport {
   };
 
   bool link_up_locked(NodeId a, NodeId b) const PSMR_REQUIRES(mu_);
-  // Drops queued in-flight messages to/from `node` and erases its per-link
-  // FIFO entries. Shared by crash() and remove_endpoint().
+  // Drops queued in-flight messages to/from `node`, closes its inbox and
+  // erases its per-link FIFO entries. Shared by crash() and
+  // remove_endpoint().
   void purge_node_locked(NodeId node) PSMR_REQUIRES(mu_);
-  void delivery_loop();
+  // Closes the inbox and drops what it holds.
+  void close_inbox(Endpoint& endpoint);
+  void dispatch_loop(Endpoint& endpoint);
+  // The delivery-time checks: receiver crashed or removed, sender crashed,
+  // link cut.
+  bool deliverable(const Endpoint& to, const InFlight& item)
+      PSMR_EXCLUDES(mu_);
+  void count_dropped(std::uint64_t n);
 
   const Config config_;
 
-  // mu_ is held across inbox pushes (transport rank precedes the queue
-  // rank). Endpoint objects themselves are not guarded: only the
-  // unique_ptr vector is — the pointees are internally synchronized
-  // (inbox) or atomic (crashed).
+  // mu_ is held across inbox pushes (transport rank precedes the inbox
+  // rank), so two senders on one link cannot be reordered. Endpoint
+  // objects themselves are not guarded: only the unique_ptr vector is —
+  // the pointees are internally synchronized (inbox) or atomic (crashed),
+  // and live until the SimNetwork is destroyed.
   mutable RankedMutex<lock_rank::kTransport> mu_;
-  CondVar cv_;
-  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> queue_
-      PSMR_GUARDED_BY(mu_);
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> last_delivery_
       PSMR_GUARDED_BY(mu_);  // FIFO
   std::set<std::pair<NodeId, NodeId>> cut_links_ PSMR_GUARDED_BY(mu_);
+  // cut_links_.size(): dispatchers take mu_ for the cut-link check only
+  // while some link is cut.
+  std::atomic<std::size_t> cut_link_count_{0};
   Xoshiro256 rng_ PSMR_GUARDED_BY(mu_);
   std::uint64_t next_sequence_ PSMR_GUARDED_BY(mu_) = 0;
   bool stopping_ PSMR_GUARDED_BY(mu_) = false;
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_ PSMR_GUARDED_BY(mu_);
-  std::thread delivery_thread_;  // set once in the constructor
 
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -236,9 +236,11 @@ TEST(SimNetwork, ShutdownIsIdempotentAndStopsDelivery) {
 
 TEST(SimNetwork, EarlierDeadlineIsNotHeldBehindQueueHead) {
   // Latencies are drawn from [0, 100 ms). With seed 8 the first message is
-  // due at ~82 ms and the earliest of the rest at ~3 ms. The first is sent
-  // alone so the delivery thread goes to sleep until its deadline; the
-  // later sends with earlier deadlines must wake it.
+  // due at ~82 ms and the earliest of the rest at ~3 ms. All go to one
+  // receiver, each from its own sender so that no per-link FIFO stamp holds
+  // a message behind the first. The first is sent alone so the receiver's
+  // dispatcher goes to sleep until its deadline; the later sends with
+  // earlier deadlines become the new inbox head and must wake it.
   SimNetwork::Config config;
   config.base_latency_us = 0;
   config.jitter_us = 100'000;
@@ -247,19 +249,19 @@ TEST(SimNetwork, EarlierDeadlineIsNotHeldBehindQueueHead) {
   std::mutex mu;
   std::vector<std::uint64_t> arrivals;
   SimNetwork net(config);
-  const NodeId sender = net.add_endpoint([](NodeId, MessagePtr) {});
-  std::vector<NodeId> receivers;
+  const NodeId receiver = net.add_endpoint([&](NodeId, MessagePtr) {
+    std::lock_guard lock(mu);
+    arrivals.push_back(now_ns());
+  });
+  std::vector<NodeId> senders;
   for (std::size_t i = 0; i < kLinks; ++i) {
-    receivers.push_back(net.add_endpoint([&](NodeId, MessagePtr) {
-      std::lock_guard lock(mu);
-      arrivals.push_back(now_ns());
-    }));
+    senders.push_back(net.add_endpoint([](NodeId, MessagePtr) {}));
   }
   const std::uint64_t sent_at = now_ns();
-  net.send(sender, receivers[0], make_message<IntMsg>(0));
+  net.send(senders[0], receiver, make_message<IntMsg>(0));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   for (std::size_t i = 1; i < kLinks; ++i) {
-    net.send(sender, receivers[i], make_message<IntMsg>(0));
+    net.send(senders[i], receiver, make_message<IntMsg>(0));
   }
   for (int i = 0; i < 400; ++i) {
     {
@@ -273,6 +275,79 @@ TEST(SimNetwork, EarlierDeadlineIsNotHeldBehindQueueHead) {
   const auto [first, last] = std::minmax_element(arrivals.begin(), arrivals.end());
   EXPECT_LT(*first - sent_at, 30'000'000u);
   EXPECT_LT(*last - sent_at, 130'000'000u);
+}
+
+TEST(SimNetwork, PerLinkFifoWithConcurrentSendersOnOneLink) {
+  // Four threads share one (from, to) link, as a replica's workers reply
+  // to one client. Each thread's messages must arrive in its send order.
+  SimNetwork::Config config;
+  config.base_latency_us = 10;
+  config.jitter_us = 500;
+  SimNetwork net(config);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  std::mutex mu;
+  std::vector<int> received;
+  const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+  const NodeId b = net.add_endpoint([&](NodeId, MessagePtr m) {
+    std::lock_guard lock(mu);
+    received.push_back(message_as<IntMsg>(m).value);
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        net.send(a, b, make_message<IntMsg>(t * kPerThread + i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int i = 0; i < 400; ++i) {
+    {
+      std::lock_guard lock(mu);
+      if (received.size() == std::size_t{kThreads * kPerThread}) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::lock_guard lock(mu);
+  ASSERT_EQ(received.size(), std::size_t{kThreads * kPerThread});
+  std::vector<int> next(kThreads, 0);
+  for (int value : received) {
+    int& expected = next[static_cast<std::size_t>(value / kPerThread)];
+    EXPECT_EQ(value % kPerThread, expected) << "thread " << value / kPerThread;
+    expected = value % kPerThread + 1;
+  }
+}
+
+TEST(SimNetwork, CrashAndRemoveDoNotWaitForAFarDeadline) {
+  // A message due in 10 s must not hold up crash(), remove_endpoint() or
+  // shutdown(), and it counts as dropped, not delivered.
+  SimNetwork::Config config;
+  config.base_latency_us = 10'000'000;
+  config.jitter_us = 0;
+  const std::vector<std::pair<const char*, void (*)(SimNetwork&, NodeId)>>
+      stops = {
+          {"crash", [](SimNetwork& net, NodeId b) { net.crash(b); }},
+          {"remove_endpoint",
+           [](SimNetwork& net, NodeId b) { net.remove_endpoint(b); }},
+          {"shutdown", [](SimNetwork& net, NodeId) { net.shutdown(); }},
+      };
+  for (const auto& [name, stop] : stops) {
+    SimNetwork net(config);
+    std::atomic<int> count{0};
+    const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+    const NodeId b =
+        net.add_endpoint([&](NodeId, MessagePtr) { count.fetch_add(1); });
+    net.send(a, b, make_message<IntMsg>(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::uint64_t start = now_ns();
+    stop(net, b);
+    EXPECT_LT(now_ns() - start, 1'000'000'000u) << name;
+    EXPECT_EQ(net.messages_dropped(), 1u) << name;
+    EXPECT_EQ(net.messages_delivered(), 0u) << name;
+    EXPECT_EQ(net.in_flight(), 0u) << name;
+    EXPECT_EQ(count.load(), 0) << name;
+  }
 }
 
 TEST(SimNetwork, ManySendersStress) {
