@@ -4,9 +4,9 @@
 // scheduler's throughput ceiling for light/moderate commands (§7.3.1:
 // "the graph mean population is close to zero, indicating that the insert
 // thread is at its performance limit"). Atomic broadcast delivers commands
-// in batches anyway, so the natural extension is to insert a whole batch
-// with one traversal of the graph (LockFreeCos::insert_batch), amortizing
-// the walk and the helping work across the batch. This bench measures the
+// in batches anyway, so LockFreeCos::insert_batch takes a whole batch's
+// space permits with one semaphore acquisition and then inserts the
+// commands one by one through the key index. This bench measures the
 // insert-side ceiling for several batch sizes under a read-only workload
 // with ample workers.
 #include <atomic>

@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,14 +79,13 @@ void BM_CosInsertOnly(benchmark::State& state) {
   state.SetLabel(psmr::cos_kind_name(kind));
 }
 
-// Scheduler-side insert cost on a keyed workload at a full window, with the
-// key-indexed dependency tracker on or off. Each iteration fills the window
+// Scheduler-side insert cost on a keyed workload at a full window, through
+// the key-indexed dependency tracker. Each iteration fills the window
 // (timed) and drains it single-threaded (untimed); items/s is the keyed
-// insert throughput the acceptance gate cares about.
+// insert throughput.
 void BM_CosInsertKeyed(benchmark::State& state) {
   const auto kind = static_cast<CosKind>(state.range(0));
   const auto window = static_cast<std::size_t>(state.range(1));
-  const bool indexed = state.range(2) != 0;
   constexpr std::uint64_t kKeySpace = 16384;
   psmr::KvService service(/*shard_count=*/kKeySpace);
   std::vector<Command> workload = psmr::make_kv_workload(
@@ -96,8 +94,7 @@ void BM_CosInsertKeyed(benchmark::State& state) {
 
   auto cos = psmr::make_cos({.kind = kind,
                              .capacity = window,
-                             .conflict = psmr::keyset_rw_conflict,
-                             .indexed = indexed});
+                             .conflict = psmr::keyset_rw_conflict});
   for (auto _ : state) {
     for (const Command& c : workload) cos->insert(c);
     state.PauseTiming();
@@ -106,8 +103,7 @@ void BM_CosInsertKeyed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(window));
-  state.SetLabel(std::string(psmr::cos_kind_name(kind)) +
-                 (indexed ? "/indexed" : "/scan"));
+  state.SetLabel(psmr::cos_kind_name(kind));
 }
 
 void BM_EbrPin(benchmark::State& state) {
@@ -170,9 +166,7 @@ void cos_cycle_args(benchmark::internal::Benchmark* bench) {
 void cos_insert_keyed_args(benchmark::internal::Benchmark* bench) {
   for (int kind = 0; kind < 4; ++kind) {
     for (int window : {512, 8192}) {
-      for (int indexed : {0, 1}) {
-        bench->Args({kind, window, indexed});
-      }
+      bench->Args({kind, window});
     }
   }
 }

@@ -7,12 +7,10 @@
 
 namespace psmr {
 
-CoarseGrainedCos::CoarseGrainedCos(std::size_t max_size, ConflictFn conflict,
-                                   bool indexed)
+CoarseGrainedCos::CoarseGrainedCos(std::size_t max_size, ConflictFn conflict)
     : max_size_(max_size),
-      conflict_(conflict),
-      extract_(indexed ? conflict_key_extractor(conflict) : nullptr),
-      index_(extract_ != nullptr ? max_size : 1) {}
+      extract_(conflict_key_extractor(conflict)),
+      index_(max_size) {}
 
 CoarseGrainedCos::~CoarseGrainedCos() { close(); }
 
@@ -36,31 +34,22 @@ bool CoarseGrainedCos::insert(const Command& c) {
   Node& added = *it;
 
   // Alg. 2 lines 14-16: every older conflicting command must run first.
-  if (extract_ != nullptr) {
-    // Keyed relation: O(k) index probes. remove() prunes entries eagerly
-    // under mu_, so every entry is live; the stamp de-duplicates nodes that
-    // share several keys with c.
-    const KeyedAccess acc = extract_(c);
-    const std::uint64_t stamp = ++probe_seq_;
-    index_.for_each_conflicting(
-        acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
-          Node* node = static_cast<Node*>(e.node);
-          if (node->probe_stamp != stamp) {
-            node->probe_stamp = stamp;
-            node->out.push_back(&added);
-            ++added.pending_in;
-          }
-          return true;
-        });
-    index_.add(acc.keys, acc.write, &added);
-  } else {
-    for (auto node = nodes_.begin(); node != it; ++node) {
-      if (conflict_(node->cmd, c)) {
-        node->out.push_back(&added);
-        ++added.pending_in;
-      }
-    }
-  }
+  // Found by O(k) index probes instead of the scan over nodes_. remove()
+  // prunes entries eagerly under mu_, so every entry is live; the stamp
+  // de-duplicates nodes that share several keys with c.
+  const KeyedAccess acc = extract_(c);
+  const std::uint64_t stamp = ++probe_seq_;
+  index_.for_each_conflicting(
+      acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
+        Node* node = static_cast<Node*>(e.node);
+        if (node->probe_stamp != stamp) {
+          node->probe_stamp = stamp;
+          node->out.push_back(&added);
+          ++added.pending_in;
+        }
+        return true;
+      });
+  index_.add(acc.keys, acc.write, &added);
   if (added.pending_in == 0) {
     cos_metrics().ready_enq.inc();
     has_ready_.notify_one();
@@ -110,9 +99,7 @@ void CoarseGrainedCos::remove(CosHandle h) {
   } else if (freed > 1) {
     has_ready_.notify_all();
   }
-  if (extract_ != nullptr) {
-    index_.remove(extract_(node->cmd).keys, node);
-  }
+  index_.remove(extract_(node->cmd).keys, node);
   nodes_.erase(node->self);
   not_full_.notify_one();
 }

@@ -6,9 +6,11 @@
 // implementations attack.
 //
 // Representation: nodes in delivery order (intrusive via std::list), each
-// node holding its pending-dependency count and the outgoing edge list. The
-// insert scan is O(|N|) conflict checks and get() is an O(|N|) scan for the
-// oldest ready node, exactly as in the paper's pseudocode.
+// node holding its pending-dependency count and the outgoing edge list, plus
+// a key index over the live nodes. insert() finds its dependencies through
+// the index rather than the paper's O(|N|) conflict scan (same edges; see
+// dep_tracker.h); get() is an O(|N|) scan for the oldest ready node, exactly
+// as in the paper's pseudocode.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +28,8 @@ namespace psmr {
 
 class CoarseGrainedCos final : public Cos {
  public:
-  CoarseGrainedCos(std::size_t max_size, ConflictFn conflict,
-                   bool indexed = true);
+  // `conflict` must have a key extractor (conflict.h); make_cos checks.
+  CoarseGrainedCos(std::size_t max_size, ConflictFn conflict);
   ~CoarseGrainedCos() override;
 
   bool insert(const Command& c) override;
@@ -53,7 +55,6 @@ class CoarseGrainedCos final : public Cos {
   };
 
   const std::size_t max_size_;
-  const ConflictFn conflict_;
   const KeyExtractor extract_;
 
   // The monitor: one mutex over the whole graph. Node contents (out edges,
@@ -63,9 +64,8 @@ class CoarseGrainedCos final : public Cos {
   CondVar not_full_;   // "nFull" in the paper
   CondVar has_ready_;  // "hasReady" in the paper
   std::list<Node> nodes_ PSMR_GUARDED_BY(mu_);  // delivery order
-  // Non-null extract_ iff the relation is per-key-decomposable and indexing
-  // is on; then index_ holds every live node and insert probes it instead
-  // of scanning nodes_.
+  // Every live node, under its keys; insert() probes it instead of scanning
+  // nodes_.
   KeyIndex index_ PSMR_GUARDED_BY(mu_);
   std::uint64_t probe_seq_ PSMR_GUARDED_BY(mu_) = 0;
   bool closed_ PSMR_GUARDED_BY(mu_) = false;

@@ -1,16 +1,16 @@
 // Conflict relations (#C in the paper, §3.3).
 //
 // Two commands conflict if they access a common variable and at least one
-// writes it. The relation is a plain function pointer so the hot path of all
-// three COS implementations pays one indirect call per pair, identically.
+// writes it. A relation is a plain function pointer: a service declares its
+// own with it (Service::conflict()), and the tests evaluate it pairwise as
+// the oracle for the COS dependency sets.
 //
-// Relations over explicit key sets can additionally expose a *key extractor*
-// (conflict_key_extractor below). A relation with an extractor is
-// per-key-decomposable: a # b iff some key is shared and the per-key
-// write condition holds. The COS implementations use the extractor to drive
-// the key-indexed dependency tracker (dep_tracker.h), replacing the O(n)
-// pairwise insert scan with O(k) index probes; opaque relations (rw_conflict,
-// always/never_conflict) keep the pairwise scan.
+// Every relation here also has a *key extractor* (conflict_key_extractor
+// below): it is per-key-decomposable, a # b iff some key is shared and the
+// per-key write condition holds. The COS implementations find a new
+// command's dependencies only through the extractor and the key-indexed
+// dependency tracker (dep_tracker.h) — O(k) index probes instead of the
+// paper's O(n) pairwise insert scan, with identical edge sets.
 #pragma once
 
 #include <span>
@@ -61,7 +61,8 @@ inline bool never_conflict(const Command&, const Command&) { return false; }
 // A command's accesses as seen by a keyed relation: the (sorted) conflict
 // keys and whether the command writes them. The decomposition contract is
 //   fn(a, b) == (a.write || b.write) && keys(a) ∩ keys(b) ≠ ∅
-// which keyset_rw_conflict satisfies by definition.
+// which keyset_rw_conflict satisfies by definition, and the three relations
+// without explicit keys satisfy over at most one key (below).
 struct KeyedAccess {
   std::span<const std::uint64_t> keys;  // sorted ascending
   bool write = false;
@@ -73,11 +74,32 @@ inline KeyedAccess keyset_access(const Command& c) {
   return {std::span<const std::uint64_t>(c.keys.data(), c.nkeys), is_write(c)};
 }
 
-// Returns the key extractor for per-key-decomposable relations, nullptr for
-// opaque ones. The COS factory's `indexed` toggle only takes effect when the
-// relation is decomposable; everything else falls back to the pairwise scan.
+// The single variable that rw_conflict and always_conflict treat every
+// command as accessing (the paper's whole list).
+inline constexpr std::uint64_t kWholeStateKey[1] = {0};
+
+// rw_conflict: everyone touches the one shared key; writers write it.
+inline KeyedAccess whole_state_access(const Command& c) {
+  return {kWholeStateKey, is_write(c)};
+}
+
+// always_conflict: everyone writes the one shared key.
+inline KeyedAccess whole_state_write(const Command&) {
+  return {kWholeStateKey, true};
+}
+
+// never_conflict: no command touches anything another can see.
+inline KeyedAccess no_access(const Command&) { return {}; }
+
+// Returns the key extractor of each relation above, nullptr for any other
+// function. Every COS finds dependencies through the extractor, so make_cos
+// aborts on a relation without one.
 inline KeyExtractor conflict_key_extractor(ConflictFn fn) {
-  return fn == keyset_rw_conflict ? &keyset_access : nullptr;
+  if (fn == keyset_rw_conflict) return &keyset_access;
+  if (fn == rw_conflict) return &whole_state_access;
+  if (fn == always_conflict) return &whole_state_write;
+  if (fn == never_conflict) return &no_access;
+  return nullptr;
 }
 
 }  // namespace psmr

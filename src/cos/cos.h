@@ -44,9 +44,10 @@ class Cos {
   virtual bool insert(const Command& c) = 0;
 
   // Inserts a batch in order. Semantically identical to calling insert()
-  // per command; implementations may amortize the conflict scan across the
-  // batch (the lock-free DAG inserts a whole atomic-broadcast batch in one
-  // traversal — the insert thread is its throughput ceiling, §7.3.1).
+  // per command; implementations may amortize per-call costs across the
+  // batch (the lock-free DAG takes the batch's space permits in one
+  // semaphore acquisition — the insert thread is its throughput ceiling,
+  // §7.3.1).
   // Returns false iff the structure was closed mid-batch.
   virtual bool insert_batch(std::span<const Command> batch) {
     for (const Command& c : batch) {
@@ -68,8 +69,9 @@ class Cos {
 
   // Testing hook: the current dependency edges as (dependency id,
   // dependent id) pairs, sorted ascending. Callers must guarantee
-  // quiescence — no concurrent insert/get/remove. Used by the
-  // indexed-vs-scan equivalence tests; not part of the COS specification.
+  // quiescence — no concurrent insert/get/remove. Used by the tests that
+  // compare the edges with the pairwise definition; not part of the COS
+  // specification.
   virtual std::vector<std::pair<std::uint64_t, std::uint64_t>> debug_edges() {
     return {};
   }

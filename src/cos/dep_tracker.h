@@ -1,10 +1,12 @@
 // Key-indexed dependency tracker.
 //
-// Replaces the O(n) pairwise insert scan of the COS implementations with
-// O(k) hash probes for per-key-decomposable conflict relations
-// (conflict_key_extractor() in conflict.h). The index maps each conflict key
-// to the list of *live* commands that currently access it, remembering for
-// each whether the access is a write:
+// The one way every COS implementation finds a new command's dependencies:
+// O(k) hash probes over the command's conflict keys, in place of the
+// paper's O(n) pairwise insert scan. Every relation in conflict.h has a key
+// extractor (conflict_key_extractor()); the list relations use one shared
+// key, never_conflict none. The index maps each conflict key to the list of
+// *live* commands that currently access it, remembering for each whether
+// the access is a write:
 //
 //   key -> [ {node, write}, {node, write}, ... ]   (insertion order)
 //
@@ -12,7 +14,8 @@
 //   - every live accessor of its keys, if it writes, or
 //   - every live *writer* of its keys, if it reads,
 // which — after de-duplication across keys — is bit-identical to the set the
-// pairwise scan would produce with the same relation. Keeping *all* live
+// pairwise definition prescribes for the same relation (dep_tracker_test
+// checks this for every variant and relation). Keeping *all* live
 // accessors per key (not just the last writer plus readers-since) is what
 // makes the sets identical even when several writers of one key are live at
 // once; see DESIGN.md for the argument and the transitive-reduction

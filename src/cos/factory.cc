@@ -10,22 +10,22 @@
 namespace psmr {
 
 std::unique_ptr<Cos> make_cos(const CosOptions& options) {
+  // Every variant finds dependencies through the relation's key extractor;
+  // conflict.h gives one to each relation a service can declare.
+  if (conflict_key_extractor(options.conflict) == nullptr) std::abort();
   switch (options.kind) {
     case CosKind::kCoarseGrained:
       return std::make_unique<CoarseGrainedCos>(options.capacity,
-                                                options.conflict,
-                                                options.indexed);
+                                                options.conflict);
     case CosKind::kFineGrained:
       return std::make_unique<FineGrainedCos>(options.capacity,
-                                              options.conflict,
-                                              options.indexed);
+                                              options.conflict);
     case CosKind::kLockFree:
       return std::make_unique<LockFreeCos>(options.capacity, options.conflict,
-                                           options.reclaim, options.indexed);
+                                           options.reclaim);
     case CosKind::kStriped:
       return std::make_unique<StripedCos>(options.capacity, options.conflict,
-                                          options.segment_width,
-                                          options.indexed);
+                                          options.segment_width);
   }
   std::abort();  // unreachable: the switch above is exhaustive over CosKind
 }

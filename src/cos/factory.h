@@ -38,12 +38,11 @@ struct CosOptions {
   // Maximum number of commands held (the paper's graph size; semaphore
   // `space` bound).
   std::size_t capacity = kPaperGraphSize;
-  // The service's conflict relation (#C). Required.
+  // The service's conflict relation (#C). Required, and must be one of the
+  // relations in conflict.h: make_cos aborts on a relation without a key
+  // extractor, since every variant tracks dependencies through the key
+  // index (dep_tracker.h).
   ConflictFn conflict = nullptr;
-  // Enables the key-indexed dependency tracker (dep_tracker.h) for
-  // per-key-decomposable relations; opaque relations fall back to the
-  // pairwise insert scan regardless, so leaving it on is always safe.
-  bool indexed = true;
   // Lock-free DAG only: node-reclamation policy (epoch-based vs. leak-until-
   // destruction, the reclamation ablation's knob).
   LockFreeReclaim reclaim = LockFreeReclaim::kEpoch;

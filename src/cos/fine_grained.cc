@@ -7,12 +7,10 @@
 
 namespace psmr {
 
-FineGrainedCos::FineGrainedCos(std::size_t max_size, ConflictFn conflict,
-                               bool indexed)
+FineGrainedCos::FineGrainedCos(std::size_t max_size, ConflictFn conflict)
     : max_size_(max_size),
-      conflict_(conflict),
-      extract_(indexed ? conflict_key_extractor(conflict) : nullptr),
-      index_(extract_ != nullptr ? max_size : 1),
+      extract_(conflict_key_extractor(conflict)),
+      index_(max_size),
       space_(static_cast<std::ptrdiff_t>(max_size)),
       ready_(0) {
   space_.instrument(&cos_metrics().insert_blocks,
@@ -32,59 +30,11 @@ FineGrainedCos::~FineGrainedCos() {
   }
 }
 
-bool FineGrainedCos::insert(const Command& c) {
-  if (!space_.acquire()) return false;  // closed
-  if (extract_ != nullptr) return insert_indexed(c);
-
-  // The new node is unreachable until linked, so its in_count can be
-  // written lock-free during the whole scan. (Alg. 4 line 4 locks it up
-  // front instead, but that acquires a *later* node's mutex before the
-  // hand-over-hand walk takes earlier ones — the lock-order inversion TSan
-  // used to report against remove()'s list-order phase-2 walk. Locking it
-  // only at link time, below, keeps every node-mutex acquisition in list
-  // order.)
-  auto* added = new Node(c);
-
-  // Hand-over-hand walk: `prev` is always locked; lock `cur` before
-  // releasing `prev` so no operation can overtake us.
-  Node* prev = &head_;
-  std::unique_lock prev_lock(prev->mx);
-  Node* cur = prev->next;
-  while (cur != nullptr) {
-    std::unique_lock cur_lock(cur->mx);
-    if (conflict_(cur->cmd, c)) {
-      cur->out.insert(added);
-      ++added->in_count;
-    }
-    prev_lock.swap(cur_lock);  // release prev, keep cur
-    prev = cur;
-    cur = cur->next;
-  }
-  // `prev` is the last node (or the head sentinel) and is still locked;
-  // linking here makes the node visible with all its edges in place. Taking
-  // added->mx now (after its predecessor — list order) pins the readiness
-  // decision: a remover can reach `added` only through `prev`, so it cannot
-  // decrement in_count before the read below, and a decrement that later
-  // hits zero sees executing == false and releases the permit itself —
-  // exactly one side releases.
-  std::unique_lock added_lock(added->mx);
-  prev->next = added;
-  population_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) approximate occupancy gauge
-  const bool is_ready = added->in_count == 0;
-  prev_lock.unlock();
-  added_lock.unlock();
-  cos_metrics().inserts.inc();
-  if (is_ready) {
-    cos_metrics().ready_enq.inc();
-    ready_.release();
-  }
-  return true;
-}
-
-// Indexed insert. The pairwise scan's hand-over-hand walk is also a moving
-// barrier: no remover can overtake it, which is what makes "record edge,
-// then link" safe. The indexed path has no such barrier, so it inverts the
-// order — link first, hidden behind executing=true, then wire edges:
+// Insert (Alg. 4's insert, with dependencies found through the key index).
+// The paper's hand-over-hand scan is also a moving barrier: no remover can
+// overtake it, which is what makes "record edge, then link" safe there. The
+// index probe has no such barrier, so the order is inverted — link first,
+// hidden behind executing=true, then wire edges:
 //
 //   1. Take index_mu_. While it is held no node can be freed (remove()'s
 //      deletion fence), so index entries may be dereferenced safely.
@@ -104,7 +54,8 @@ bool FineGrainedCos::insert(const Command& c) {
 // Deadlock-freedom: index_mu_ precedes all node locks (removers only take
 // it with no node locks held); node locks nest in list order only (a
 // candidate precedes the just-linked tail node).
-bool FineGrainedCos::insert_indexed(const Command& c) {
+bool FineGrainedCos::insert(const Command& c) {
+  if (!space_.acquire()) return false;  // closed
   auto* added = new Node(c);
   added->executing = true;  // hidden until fully wired (no lock needed yet)
   const KeyedAccess acc = extract_(c);
@@ -199,13 +150,12 @@ void FineGrainedCos::remove(CosHandle h) {
     prev = cur;
   }
   std::unique_lock node_lock(node->mx);
-  node->defunct = true;  // indexed inserts holding a stale entry now skip us
+  node->defunct = true;  // inserts holding a stale index entry now skip us
   prev->next = node->next;
   // Repair the inserter's tail shortcut while holding both locks: the
   // inserter compares/links under the tail node's mx, so it either sees the
   // repaired value or finds `node` defunct and retries.
-  if (extract_ != nullptr &&
-      tail_.load(std::memory_order_relaxed) == node) {  // NOLINT(psmr-relaxed-order-audit) shortcut hint; re-validated under the node locks
+  if (tail_.load(std::memory_order_relaxed) == node) {  // NOLINT(psmr-relaxed-order-audit) shortcut hint; re-validated under the node locks
     tail_.store(prev, std::memory_order_release);
   }
   Node* successor = node->next;
@@ -239,7 +189,7 @@ void FineGrainedCos::remove(CosHandle h) {
 
   node_lock.unlock();
   if (walk_lock.owns_lock()) walk_lock.unlock();
-  if (extract_ != nullptr) {
+  {
     // Deletion fence: with *no node locks held* (index_mu_ precedes node
     // locks in the hierarchy), wait out any inserter that may still hold an
     // index entry naming this node, and purge the entries. Only after this

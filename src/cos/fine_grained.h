@@ -1,6 +1,6 @@
 // Fine-grained DAG — the paper's Algorithms 3 and 4.
 //
-// Each graph node carries its own mutex; operations traverse the
+// Each graph node carries its own mutex; get() and remove() traverse the
 // delivery-ordered node list with hand-over-hand locking (lock coupling):
 // lock the successor before unlocking the current node, so traversals cannot
 // overtake one another and the first node in delivery order serializes
@@ -8,8 +8,11 @@
 // semaphores implement the blocking conditions (graph full / nothing ready),
 // as in Algorithm 3.
 //
-// Deviations from the pseudocode, both necessary in a real implementation
-// and documented in DESIGN.md:
+// Deviations from the pseudocode, documented in DESIGN.md:
+//  - insert() does not walk the list: it links the new node at the tail,
+//    hidden from get() until wired, and finds its dependencies through the
+//    key index (dep_tracker.h) under index_mu_, locking each dependency
+//    individually. The edges are the ones Alg. 4's scan would record.
 //  - get() restarts from the head when it reaches the end of the list
 //    without finding a ready node (a node behind the traversal cursor may
 //    have become ready after the cursor passed it; the pseudocode leaves
@@ -38,8 +41,8 @@ namespace psmr {
 
 class FineGrainedCos final : public Cos {
  public:
-  FineGrainedCos(std::size_t max_size, ConflictFn conflict,
-                 bool indexed = true);
+  // `conflict` must have a key extractor (conflict.h); make_cos checks.
+  FineGrainedCos(std::size_t max_size, ConflictFn conflict);
   ~FineGrainedCos() override;
 
   bool insert(const Command& c) override;
@@ -76,9 +79,9 @@ class FineGrainedCos final : public Cos {
     // while this node is locked), and `probe_stamp`, which only the insert
     // thread touches.
     bool executing = false;
-    // Set (under mx) in remove() phase 1, just before unlinking. The
-    // indexed insert checks it to skip nodes mid-removal; a *linked* node
-    // always has defunct == false.
+    // Set (under mx) in remove() phase 1, just before unlinking. insert()
+    // checks it to skip nodes mid-removal; a *linked* node always has
+    // defunct == false.
     bool defunct = false;
     int in_count = 0;
     std::uint64_t probe_stamp = 0;  // insert-thread-only probe de-dup
@@ -86,12 +89,7 @@ class FineGrainedCos final : public Cos {
     Node* next = nullptr;
   };
 
-  // Indexed insert path; see the locking argument in DESIGN.md. Lock
-  // hierarchy: index_mu_ before any node mutex; node mutexes in list order.
-  bool insert_indexed(const Command& c);
-
   const std::size_t max_size_;
-  const ConflictFn conflict_;
   const KeyExtractor extract_;
 
   // index_mu_ guards index_ *and* doubles as the deletion fence: remove()

@@ -10,12 +10,11 @@ namespace psmr {
 LockFreeCos::Node::~Node() { delete[] dep_me.load(std::memory_order_relaxed); }  // NOLINT(psmr-relaxed-order-audit) destructor; node unreachable by now
 
 LockFreeCos::LockFreeCos(std::size_t max_size, ConflictFn conflict,
-                         LockFreeReclaim reclaim, bool indexed)
+                         LockFreeReclaim reclaim)
     : max_size_(max_size),
-      conflict_(conflict),
       reclaim_(reclaim),
-      extract_(indexed ? conflict_key_extractor(conflict) : nullptr),
-      index_(extract_ != nullptr ? max_size : 1),
+      extract_(conflict_key_extractor(conflict)),
+      index_(max_size),
       space_(static_cast<std::ptrdiff_t>(max_size)),
       ready_(0) {
   space_.instrument(&cos_metrics().insert_blocks,
@@ -64,7 +63,10 @@ bool LockFreeCos::insert_batch(std::span<const Command> batch) {
   while (!batch.empty()) {
     const std::size_t take = std::min(batch.size(), max_size_);
     if (!space_.acquire(static_cast<std::ptrdiff_t>(take))) return false;
-    const int ready_nodes = lf_insert_batch(batch.first(take));
+    // Per-command inserts: intra-batch edges arise naturally, as each
+    // command is indexed before the next one probes.
+    int ready_nodes = 0;
+    for (const Command& c : batch.first(take)) ready_nodes += lf_insert(c);
     cos_metrics().inserts.inc(take);
     if (ready_nodes > 0) {
       cos_metrics().ready_enq.inc(static_cast<std::uint64_t>(ready_nodes));
@@ -171,17 +173,17 @@ void LockFreeCos::append_dependent(Node* node, Node* dependent) {
 void LockFreeCos::helped_remove(Node* gone, Node* prev) {
   // Purge the index entries *before* the node is retired; probes may have
   // already pruned some of them lazily.
-  if (extract_ != nullptr) index_.remove(extract_(gone->cmd).keys, gone);
+  index_.remove(extract_(gone->cmd).keys, gone);
   const std::size_t dependents =
       gone->dep_me_count.load(std::memory_order_seq_cst);
   std::atomic<Node*>* dep_me = gone->dep_me.load(std::memory_order_seq_cst);
   for (std::size_t i = 0; i < dependents; ++i) {
     Node* dependent = dep_me[i].load(std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) remover-side edge maintenance; publication ordered by the insert CAS
     // nullptr: the dependent was physically removed before `gone` (the
-    // unhook loop below cleared it). That happens when a walk passes `gone`
+    // unhook loop below cleared it). That happens when a sweep passes `gone`
     // while it is still executing, then helps the already-finished
     // dependent further down the list — `gone` itself is only helped by a
-    // later walk. Non-null entries are not yet physically removed, so
+    // later sweep. Non-null entries are not yet physically removed, so
     // writing their dep_on is safe.
     if (dependent == nullptr) continue;
     for (std::size_t j = 0; j < dependent->dep_on_count; ++j) {
@@ -225,15 +227,15 @@ void LockFreeCos::helped_remove(Node* gone, Node* prev) {
   }
 }
 
-// Indexed variant of lf_insert: dependency discovery via the key index
-// instead of the list walk. The publication protocol — dep_me appends
-// (seq_cst), exact dep_on materialization, link, ins -> wtg, test_ready —
-// is byte-for-byte the same as the walking path; the exact-once permit
-// accounting argument in test_ready only depends on that ordering, not on
-// how the dependencies were discovered. Entries naming logically removed
-// nodes are pruned by the probe; physical unlinking is deferred to
-// sweep_removed(), which runs when half the window is logical garbage.
-int LockFreeCos::lf_insert_indexed(const Command& c) {
+// Alg. 7's insert, with dependency discovery via the key index instead of
+// the list walk. The publication protocol — dep_me appends (seq_cst), exact
+// dep_on materialization, link, ins -> wtg, test_ready — is the paper's;
+// the exact-once permit accounting argument in test_ready only depends on
+// that ordering, not on how the dependencies were discovered. Entries
+// naming logically removed nodes are pruned by the probe; physical
+// unlinking is deferred to sweep_removed(), which runs when half the window
+// is logical garbage.
+int LockFreeCos::lf_insert(const Command& c) {
   auto* added = new Node(c);
   auto guard = ebr_.pin();
 
@@ -251,6 +253,11 @@ int LockFreeCos::lf_insert_indexed(const Command& c) {
         if (node->st.load(std::memory_order_seq_cst) == kRmd) {
           return false;  // logically removed: no edge, prune the entry
         }
+        // Record the edge on both endpoints. The dep_me append is
+        // published immediately (concurrent removers must learn about the
+        // dependent); the new node's own dep_on side stays private until
+        // after the probe. A remover that reaches `added` through dep_me
+        // before then bounces off the ins state in test_ready.
         node->probe_stamp = stamp;
         scratch_deps_.push_back(node);
         append_dependent(node, added);
@@ -300,132 +307,6 @@ void LockFreeCos::sweep_removed() {
   if (helped > 0) {
     rmd_pending_.fetch_sub(helped, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
   }
-}
-
-int LockFreeCos::lf_insert(const Command& c) {
-  if (extract_ != nullptr) return lf_insert_indexed(c);
-  auto* added = new Node(c);
-  auto guard = ebr_.pin();
-
-  scratch_deps_.clear();
-  Node* prev = nullptr;  // last node seen alive (still linked)
-  Node* cur = head_.load(std::memory_order_seq_cst);
-  while (cur != nullptr) {
-    Node* next = cur->nxt.load(std::memory_order_seq_cst);
-    if (cur->st.load(std::memory_order_seq_cst) == kRmd) {
-      helped_remove(cur, prev);
-      cur = next;
-      continue;
-    }
-    if (conflict_(cur->cmd, c)) {
-      // Record the edge on both endpoints. The dep_me append is published
-      // immediately (concurrent removers must learn about the dependent);
-      // the new node's own dep_on side stays private until after the walk.
-      // A remover that reaches `added` through dep_me before then bounces
-      // off the ins state in test_ready.
-      scratch_deps_.push_back(cur);
-      append_dependent(cur, added);
-    }
-    prev = cur;
-    cur = next;
-  }
-
-  // Materialize the exact-sized dependency array before publication.
-  added->dep_on_count = scratch_deps_.size();
-  if (!scratch_deps_.empty()) {
-    added->dep_on =
-        std::make_unique<std::atomic<Node*>[]>(scratch_deps_.size());
-    for (std::size_t i = 0; i < scratch_deps_.size(); ++i) {
-      added->dep_on[i].store(scratch_deps_[i], std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) remover-side edge maintenance; publication ordered by the insert CAS
-    }
-  }
-
-  // Publish: link at the tail, then open the node for readiness tests.
-  if (prev == nullptr) {
-    head_.store(added, std::memory_order_seq_cst);
-  } else {
-    prev->nxt.store(added, std::memory_order_seq_cst);
-  }
-  population_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) approximate occupancy gauge
-  added->st.store(kWtg, std::memory_order_seq_cst);
-  return test_ready(added);
-}
-
-// Batch variant of lf_insert: one traversal discovers the edges from every
-// existing node to every command in the batch; intra-batch edges follow
-// from delivery order. Nodes are then published (and opened for readiness
-// tests) one by one, oldest first, preserving per-node invariants: a node's
-// dep_on set is complete before its ins -> wtg transition, and a dependent
-// recorded in an unpublished node's dep_me bounces off the ins state.
-int LockFreeCos::lf_insert_batch(std::span<const Command> batch) {
-  if (batch.empty()) return 0;
-  if (extract_ != nullptr) {
-    // Indexed mode: per-command indexed inserts. Intra-batch edges arise
-    // naturally — each command is indexed before the next one probes. The
-    // single-traversal amortization below only pays off for the O(n) walk,
-    // which the index already eliminated.
-    int ready_nodes = 0;
-    for (const Command& c : batch) ready_nodes += lf_insert_indexed(c);
-    return ready_nodes;
-  }
-  auto guard = ebr_.pin();
-
-  std::vector<Node*> added;
-  added.reserve(batch.size());
-  for (const Command& c : batch) added.push_back(new Node(c));
-  std::vector<std::vector<Node*>> deps(batch.size());
-
-  Node* prev = nullptr;
-  Node* cur = head_.load(std::memory_order_seq_cst);
-  while (cur != nullptr) {
-    Node* next = cur->nxt.load(std::memory_order_seq_cst);
-    if (cur->st.load(std::memory_order_seq_cst) == kRmd) {
-      helped_remove(cur, prev);
-      cur = next;
-      continue;
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (conflict_(cur->cmd, batch[i])) {
-        deps[i].push_back(cur);
-        append_dependent(cur, added[i]);
-      }
-    }
-    prev = cur;
-    cur = next;
-  }
-
-  // Intra-batch dependencies (batch order == delivery order).
-  for (std::size_t j = 1; j < batch.size(); ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      if (conflict_(batch[i], batch[j])) {
-        deps[j].push_back(added[i]);
-        append_dependent(added[i], added[j]);
-      }
-    }
-  }
-
-  int ready_nodes = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Node* node = added[i];
-    node->dep_on_count = deps[i].size();
-    if (!deps[i].empty()) {
-      node->dep_on =
-          std::make_unique<std::atomic<Node*>[]>(deps[i].size());
-      for (std::size_t k = 0; k < deps[i].size(); ++k) {
-        node->dep_on[k].store(deps[i][k], std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) remover-side edge maintenance; publication ordered by the insert CAS
-      }
-    }
-    if (prev == nullptr) {
-      head_.store(node, std::memory_order_seq_cst);
-    } else {
-      prev->nxt.store(node, std::memory_order_seq_cst);
-    }
-    prev = node;
-    population_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) approximate occupancy gauge
-    node->st.store(kWtg, std::memory_order_seq_cst);
-    ready_nodes += test_ready(node);
-  }
-  return ready_nodes;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -480,9 +361,7 @@ LockFreeCos::Node* LockFreeCos::lf_get() {
 int LockFreeCos::lf_remove(Node* n) {
   auto guard = ebr_.pin();
   n->st.store(kRmd, std::memory_order_seq_cst);  // logical removal
-  if (extract_ != nullptr) {
-    rmd_pending_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
-  }
+  rmd_pending_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
   population_.fetch_sub(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) approximate occupancy gauge
   int ready_nodes = 0;
   const std::size_t dependents =

@@ -9,8 +9,8 @@
 //    node with a single CAS (rdy -> exe), tried only on nodes it reads as
 //    rdy; remove() is a *logical* removal
 //    (store rmd) plus readiness tests on dependents; *physical* removal is
-//    lazy, performed by the (single) insert thread when its traversal finds
-//    a logically removed node — the paper's helpedRemove.
+//    lazy, performed by the (single) insert thread — the paper's
+//    helpedRemove.
 //
 // Memory reclamation: the paper runs on the JVM and leans on GC for
 // traversal safety. Here, every operation pins an epoch (memory/ebr.h) and
@@ -20,6 +20,11 @@
 // for the reclamation ablation bench.
 //
 // Deviations from the pseudocode (documented in DESIGN.md):
+//  - lfInsert does not walk the list: it finds the new node's dependencies
+//    through the key index (dep_tracker.h) and links at a tail shortcut.
+//    The edges are the ones the walk would record. Without the walk there
+//    is nothing to help in passing, so helpedRemove runs in a sweep over
+//    the list once sweep_threshold() nodes are logically removed.
 //  - Nodes are created in an extra state `ins` ("inserting") and switch to
 //    wtg only after the insert thread has recorded *all* dependency edges
 //    and linked the node. Without it, a concurrent lfRemove of an
@@ -52,9 +57,9 @@ namespace psmr {
 
 class LockFreeCos final : public Cos {
  public:
+  // `conflict` must have a key extractor (conflict.h); make_cos checks.
   LockFreeCos(std::size_t max_size, ConflictFn conflict,
-              LockFreeReclaim reclaim = LockFreeReclaim::kEpoch,
-              bool indexed = true);
+              LockFreeReclaim reclaim = LockFreeReclaim::kEpoch);
   ~LockFreeCos() override;
 
   bool insert(const Command& c) override;
@@ -115,8 +120,6 @@ class LockFreeCos final : public Cos {
   // Lock-free layer (Alg. 7). Return values are the number of nodes that
   // became ready, to be published as `ready` permits by the blocking layer.
   int lf_insert(const Command& c);
-  int lf_insert_indexed(const Command& c);
-  int lf_insert_batch(std::span<const Command> batch);
   Node* lf_get();
   int lf_remove(Node* n);
 
@@ -124,21 +127,19 @@ class LockFreeCos final : public Cos {
   void helped_remove(Node* gone, Node* prev);
   void append_dependent(Node* node, Node* dependent);
 
-  // Indexed mode: physically unlinks every logically removed node (the
-  // pairwise walk does this in passing; the indexed insert doesn't walk).
-  // Insert thread only. Triggered when rmd_pending_ crosses the threshold.
+  // Physically unlinks every logically removed node. Insert thread only.
+  // Triggered when rmd_pending_ crosses the threshold.
   void sweep_removed();
   std::size_t sweep_threshold() const {
     return max_size_ / 2 > 64 ? max_size_ / 2 : 64;
   }
 
   const std::size_t max_size_;
-  const ConflictFn conflict_;
   const LockFreeReclaim reclaim_;
-  // Indexed mode. The index is touched *only* by the insert thread, and an
-  // entry's node is retired to the EBR domain strictly after helped_remove
-  // purged its entries — so entries may name logically removed (kRmd) nodes,
-  // which probes prune lazily, but never freed memory.
+  // The index is touched *only* by the insert thread, and an entry's node
+  // is retired to the EBR domain strictly after helped_remove purged its
+  // entries — so entries may name logically removed (kRmd) nodes, which
+  // probes prune lazily, but never freed memory.
   const KeyExtractor extract_;
   KeyIndex index_;
   std::uint64_t probe_seq_ = 0;            // inserter only
@@ -153,7 +154,7 @@ class LockFreeCos final : public Cos {
 
   mutable EbrDomain ebr_;
   std::vector<Node*> leaked_;        // kLeak mode: inserter only
-  std::vector<Node*> scratch_deps_;  // insert-walk scratch: inserter only
+  std::vector<Node*> scratch_deps_;  // insert-probe scratch: inserter only
 };
 
 }  // namespace psmr

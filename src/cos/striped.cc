@@ -9,19 +9,18 @@ namespace psmr {
 namespace {
 
 // Dead segments tolerated before the insert thread runs a reclamation
-// sweep (indexed mode). Only the tail segment is ever exempt from a sweep,
-// so a triggered sweep always reclaims at least threshold-1 segments.
+// sweep. Only the tail segment is ever exempt from a sweep, so a triggered
+// sweep always reclaims at least threshold-1 segments.
 constexpr int kSweepThreshold = 4;
 
 }  // namespace
 
 StripedCos::StripedCos(std::size_t max_size, ConflictFn conflict,
-                       std::size_t segment_width, bool indexed)
+                       std::size_t segment_width)
     : max_size_(max_size),
-      conflict_(conflict),
       segment_width_(segment_width == 0 ? 1 : segment_width),
-      extract_(indexed ? conflict_key_extractor(conflict) : nullptr),
-      index_(extract_ != nullptr ? max_size : 1),
+      extract_(conflict_key_extractor(conflict)),
+      index_(max_size),
       space_(static_cast<std::ptrdiff_t>(max_size)),
       ready_(0),
       head_(0) {
@@ -43,19 +42,18 @@ StripedCos::~StripedCos() {
 bool StripedCos::insert(const Command& c) {
   if (!space_.acquire()) return false;  // closed
 
-  if (extract_ != nullptr &&
-      dead_segments_.load(std::memory_order_relaxed) >= kSweepThreshold) {  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
+  if (dead_segments_.load(std::memory_order_relaxed) >= kSweepThreshold) {  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
     sweep_dead_segments();
   }
 
   // Reserve the slot in the tail segment (inserts are single-threaded, so
   // the tail is stable for the duration of the call). The slot stays
-  // unpublished (not counted in `used`) until the scan completes.
+  // unpublished (not counted in `used`) until the probe completes.
   Segment* tail = &head_;
   {
     // Walk to the tail without locks: `next` pointers are only changed by
-    // this same thread (appends and dead-segment unlinking both happen on
-    // the insert path).
+    // this same thread (appends and dead-segment sweeps both happen on the
+    // insert path).
     while (tail->next != nullptr) tail = tail->next;
     std::lock_guard tail_lock(tail->mx);
     if (tail == &head_ || tail->used == tail->nodes.size()) {
@@ -72,76 +70,36 @@ bool StripedCos::insert(const Command& c) {
     added->segment = tail;
   }
 
-  if (extract_ != nullptr) {
-    // Keyed relation: probe the index instead of the coupled scan. Each
-    // candidate is checked alive under its own segment's lock (the same
-    // lock remove() tombstones under), and the dependent-side increment
-    // nests the tail lock inside the candidate's segment lock — segment
-    // locks are only ever nested in list order, and the tail is last, so
-    // this cannot deadlock with the coupled traversals. Dead entries are
-    // pruned from the index as the probe finds them. The unpublished-slot
-    // protocol below is untouched: a dependency removed between our edge
-    // record and publication decrements in_count without signalling, and
-    // the final publish-under-tail-lock check observes the result.
-    const KeyedAccess acc = extract_(c);
-    const std::uint64_t stamp = ++probe_seq_;
-    index_.for_each_conflicting(
-        acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
-          Node* node = static_cast<Node*>(e.node);
-          if (node->probe_stamp == stamp) return true;  // seen via other key
-          std::unique_lock seg_lock(node->segment->mx);
-          if (node->removed) return false;  // prune dead entry
-          node->probe_stamp = stamp;
-          node->out.push_back(added);
-          if (node->segment == tail) {
-            ++added->in_count;  // segment lock == tail lock
-          } else {
-            std::lock_guard tail_lock(tail->mx);
-            ++added->in_count;
-          }
-          return true;
-        });
-    index_.add(acc.keys, acc.write, added);
-  } else {
-    // Conflict scan: couple segment locks from the head; record edges from
-    // every live conflicting node. The dependent-side counter lives in the
-    // (still unpublished) slot and is guarded by the tail's mutex, which
-    // removers also take to decrement it.
-    Segment* prev = &head_;
-    std::unique_lock prev_lock(prev->mx);
-    Segment* cur = prev->next;
-    while (cur != nullptr) {
-      std::unique_lock cur_lock(cur->mx);
-      // Reclaim fully dead segments in passing (only the insert thread
-      // relinks, and nobody can be waiting on `cur`: waiting requires
-      // holding `prev`, which we hold). The tail is kept even when dead —
-      // it is this insert's append target.
-      if (cur != tail && cur->live == 0 && cur->used == cur->nodes.size()) {
-        prev->next = cur->next;
-        cur_lock.unlock();
-        delete cur;
-        cur = prev->next;
-        continue;
-      }
-      for (std::size_t i = 0; i < cur->used; ++i) {
-        Node& node = cur->nodes[i];
-        if (node.removed || &node == added) continue;
-        if (conflict_(node.cmd, c)) {
-          node.out.push_back(added);
-          if (cur == tail) {
-            ++added->in_count;  // tail lock is already held
-          } else {
-            std::lock_guard tail_lock(tail->mx);
-            ++added->in_count;
-          }
+  // Find the dependencies through the index (Alg. 4's scan, at segment
+  // granularity, would record the same edges). Each candidate is checked
+  // alive under its own segment's lock (the same lock remove() tombstones
+  // under), and the dependent-side increment nests the tail lock inside the
+  // candidate's segment lock — segment locks are only ever nested in list
+  // order, and the tail is last, so this cannot deadlock with the coupled
+  // traversals. Dead entries are pruned from the index as the probe finds
+  // them. The dependent-side counter lives in the still unpublished slot: a
+  // dependency removed between our edge record and publication decrements
+  // in_count without signalling, and the final publish-under-tail-lock
+  // check observes the result.
+  const KeyedAccess acc = extract_(c);
+  const std::uint64_t stamp = ++probe_seq_;
+  index_.for_each_conflicting(
+      acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
+        Node* node = static_cast<Node*>(e.node);
+        if (node->probe_stamp == stamp) return true;  // seen via other key
+        std::unique_lock seg_lock(node->segment->mx);
+        if (node->removed) return false;  // prune dead entry
+        node->probe_stamp = stamp;
+        node->out.push_back(added);
+        if (node->segment == tail) {
+          ++added->in_count;  // segment lock == tail lock
+        } else {
+          std::lock_guard tail_lock(tail->mx);
+          ++added->in_count;
         }
-      }
-      prev_lock.swap(cur_lock);
-      prev = cur;
-      cur = cur->next;
-    }
-    prev_lock.unlock();
-  }
+        return true;
+      });
+  index_.add(acc.keys, acc.write, added);
 
   // Publish and test readiness under the tail lock — the same lock a
   // remover holds when its decrement reaches zero, so exactly one side
@@ -192,7 +150,7 @@ void StripedCos::remove(CosHandle h) {
   auto* node = static_cast<Node*>(h.node);
 
   // Tombstone the node and snapshot its dependents under its own segment's
-  // lock. The insert scan checks `removed` under this same lock before
+  // lock. The insert probe checks `removed` under this same lock before
   // recording an edge, so the snapshot is complete: any later edge can only
   // be added to a node the inserter saw alive, i.e., before this point.
   std::vector<Node*> dependents;
@@ -205,7 +163,7 @@ void StripedCos::remove(CosHandle h) {
                    node->segment->used == node->segment->nodes.size();
     dependents.swap(node->out);
   }
-  if (segment_died && extract_ != nullptr) {
+  if (segment_died) {
     dead_segments_.fetch_add(1, std::memory_order_relaxed);  // NOLINT(psmr-relaxed-order-audit) sweep-trigger heuristic; threshold is approximate
   }
 
@@ -230,9 +188,11 @@ void StripedCos::remove(CosHandle h) {
 }
 
 void StripedCos::sweep_dead_segments() {
-  // Same coupled walk (and the same safety argument) as the pairwise
-  // scan's in-passing reclamation. The last segment is skipped — it is the
-  // next insert's append target — and is swept once a successor exists.
+  // Unlinks fully dead segments while holding the predecessor and the dead
+  // segment: nobody can be waiting on it, since waiting requires holding
+  // that same predecessor, and only the insert thread relinks. The last
+  // segment is skipped — it is the next insert's append target — and is
+  // swept once a successor exists.
   int swept = 0;
   Segment* prev = &head_;
   std::unique_lock prev_lock(prev->mx);

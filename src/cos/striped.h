@@ -4,28 +4,30 @@
 // overhead").
 //
 // The delivery-ordered node list is chopped into fixed-width segments, each
-// with its own mutex. Traversals (insert scan, get scan, remove's
-// dependent-update walk) couple *segment* locks instead of node locks —
-// 1/width of the fine-grained handoffs — and, unlike the fine-grained
-// remove which must walk the list from the head to find its node, remove
-// here jumps directly to the node's segment (nodes carry a segment
-// back-pointer) and only walks the suffix. Coarse-grained is the width→∞
-// end of this spectrum and fine-grained the width=1 end.
+// with its own mutex. Traversals (the get scan, the dead-segment sweep)
+// couple *segment* locks instead of node locks — 1/width of the
+// fine-grained handoffs. insert() finds its dependencies through the key
+// index (dep_tracker.h) and locks each candidate's segment individually;
+// remove() jumps directly to the node's segment (nodes carry a segment
+// back-pointer) and releases its dependents one segment lock at a time.
+// Coarse-grained is the width→∞ end of this spectrum and fine-grained the
+// width=1 end.
 //
 // Locking rules (same shape as the fine-grained proofs, at segment
 // granularity):
 //  - A node's fields are guarded by its segment's mutex.
 //  - A traversal may only block on segment S while holding S's predecessor
-//    (lock coupling), so the insert scan cannot be overtaken: a remover
-//    that tombstones node a after the inserter recorded edge a->new will
-//    reach the tail only after the new node was linked, and therefore
-//    always finds the dependent it must release.
-//  - remove's direct jump takes a single segment lock (never two
-//    out-of-order), so it cannot deadlock with couplers; its target segment
-//    cannot be freed because it still holds a live (executing) node.
-//  - Fully dead segments are unlinked by the insert scan while holding the
-//    predecessor and the dead segment (nobody can be waiting on it —
-//    waiting requires holding that same predecessor), then freed.
+//    (lock coupling).
+//  - The insert probe records edge a->new under a's segment lock and checks
+//    a's tombstone under that same lock, so a remover of a snapshots a's
+//    dependents either before the edge (and the probe skips a) or after it
+//    (and releases new). Nested locks follow list order: the tail last.
+//  - remove's direct jumps take a single segment lock at a time, so they
+//    cannot deadlock with couplers; a target segment cannot be freed
+//    because it still holds a live node.
+//  - Fully dead segments are unlinked by the insert thread's sweep while
+//    holding the predecessor and the dead segment (nobody can be waiting on
+//    it — waiting requires holding that same predecessor), then freed.
 #pragma once
 
 #include <atomic>
@@ -45,8 +47,9 @@ namespace psmr {
 
 class StripedCos final : public Cos {
  public:
+  // `conflict` must have a key extractor (conflict.h); make_cos checks.
   StripedCos(std::size_t max_size, ConflictFn conflict,
-             std::size_t segment_width = 16, bool indexed = true);
+             std::size_t segment_width = 16);
   ~StripedCos() override;
 
   bool insert(const Command& c) override;
@@ -79,7 +82,7 @@ class StripedCos final : public Cos {
 
   struct Segment {
     explicit Segment(std::size_t width) : nodes(width) {}
-    // Segment locks share one rank (coupled walks and the indexed insert
+    // Segment locks share one rank (coupled walks and the insert probe
     // nest them strictly in list order — an intra-rank order the runtime
     // checker admits via AllowSameRank and TSan validates). The
     // unique_lock/swap coupling is opaque to Clang TSA, so fields rely on
@@ -100,15 +103,13 @@ class StripedCos final : public Cos {
            node.segment->used;
   }
 
-  // Reclaims fully dead non-tail segments (indexed mode only — the pairwise
-  // scan reclaims in passing, the indexed insert no longer walks). Insert
-  // thread only. Purges the dead segments' index entries before freeing.
+  // Reclaims fully dead non-tail segments. Insert thread only. Purges the
+  // dead segments' index entries before freeing.
   void sweep_dead_segments();
 
   const std::size_t max_size_;
-  const ConflictFn conflict_;
   const std::size_t segment_width_;
-  // Indexed mode. The index is touched *only* by the insert thread: entry
+  // The index is touched *only* by the insert thread: entry
   // nodes live in segments, and segments are freed only on the insert path
   // (sweep_dead_segments), which purges their entries first — so an index
   // entry can dangle onto a removed node (probes prune those lazily under
@@ -116,9 +117,9 @@ class StripedCos final : public Cos {
   const KeyExtractor extract_;
   KeyIndex index_;
   std::uint64_t probe_seq_ = 0;
-  // Segments that became fully dead in remove(); sweep trigger (indexed
-  // mode only). May transiently count the tail segment, which the sweep
-  // skips until it stops being the tail.
+  // Segments that became fully dead in remove(); sweep trigger. May
+  // transiently count the tail segment, which the sweep skips until it
+  // stops being the tail.
   std::atomic<int> dead_segments_{0};
 
   Semaphore space_;

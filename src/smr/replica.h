@@ -51,9 +51,9 @@ class Replica {
     // fallback — uses the service's class_map()), or the classical
     // sequential baseline.
     SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-    // COS construction knobs (kind, capacity, indexed, reclaim,
-    // segment_width). `cos.conflict` is ignored — the replica always uses
-    // the service's conflict relation.
+    // COS construction knobs (kind, capacity, reclaim, segment_width).
+    // `cos.conflict` is ignored — the replica always uses the service's
+    // conflict relation.
     CosOptions cos;
     int workers = 4;
     SequencedBroadcast::Config broadcast;

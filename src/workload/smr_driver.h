@@ -16,8 +16,8 @@ namespace psmr {
 struct SmrDriverConfig {
   // Scheduler policy for every replica (cos-dag / early / sequential).
   SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-  // COS knobs (kind, capacity, indexed, ...); conflict is taken from the
-  // service.
+  // COS knobs (kind, capacity, reclaim, segment_width); conflict is taken
+  // from the service.
   CosOptions cos;
   int workers = 4;
   ExecCost cost = ExecCost::kLight;

@@ -254,8 +254,7 @@ TEST_P(IndexedKeyedStressTest, BankStateMatchesSequentialExecution) {
   BankService service(kAccounts, kInitialBalance);
   auto cos = make_cos({.kind = GetParam(),
                        .capacity = kWindow,
-                       .conflict = keyset_rw_conflict,
-                       .indexed = true});
+                       .conflict = keyset_rw_conflict});
   std::thread scheduler([&] {
     for (const Command& c : commands) {
       if (!cos->insert(c)) return;
@@ -398,19 +397,17 @@ TEST(LockFreeReclamation, NodesAreReclaimedDuringOperation) {
   EXPECT_GT(cos->nodes_reclaimed(), kCommands / 2);
 }
 
-// Regression for the fine-grained *pairwise-scan* lock-order report first
-// seen in the TSan job when the key index landed (it predated the index —
-// see DESIGN.md §8.3). The root cause was insert() locking the new node up
-// front, before the hand-over-hand walk: a later list position's mutex
-// acquired before earlier ones, inverting remove()'s phase-2 list-order
-// walk. The link-time-locking fix removed it; this test pins the fix by
-// maximizing the original trigger under the TSan CI job's lock-order graph:
-// an opaque relation (rw_conflict — the pairwise scan, no index), a
-// write-heavy mix so nearly every insert records edges against the whole
-// window and nearly every remove() phase 2 walks the full suffix, a small
-// window so insert scans and phase-2 walks overlap constantly, and enough
-// workers that several removes run against the inserter at any moment.
-TEST(FineGrainedPairwiseScan, InsertScanVsRemoveWalkLockOrder) {
+// Lock-order stress of the fine-grained insert against remove() under the
+// TSan CI job's lock-order graph (see DESIGN.md §8.3). insert() holds
+// index_mu_ (the deletion fence) while it locks each dependency and then
+// the new tail node; remove() walks its successors hand-over-hand in phase
+// 2 and takes index_mu_ only with no node locks held. One hot key maximizes
+// the overlap: rw_conflict puts every command on the same key, a
+// write-heavy mix makes nearly every insert lock most of the window and
+// nearly every phase-2 walk visit the full suffix, a small window keeps the
+// two overlapping constantly, and enough workers run several removes
+// against the inserter at any moment.
+TEST(FineGrainedLockOrder, HotKeyInsertVsRemoveWalk) {
   constexpr std::size_t kCommands = 30000;
   constexpr std::size_t kGraphSize = 24;
   auto cos = make_cos({.kind = CosKind::kFineGrained,
@@ -421,7 +418,7 @@ TEST(FineGrainedPairwiseScan, InsertScanVsRemoveWalkLockOrder) {
   std::thread scheduler([&] {
     Xoshiro256 rng(31337);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
-      // 70% writes: writes conflict with everything, so insert scans record
+      // 70% writes: writes conflict with everything, so inserts record
       // edges on most of the window and phase-2 walks visit most of it.
       Command c = rng.uniform() < 0.7 ? LinkedListService::make_add(i)
                                       : LinkedListService::make_contains(i);

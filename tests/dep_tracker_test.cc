@@ -4,18 +4,19 @@
 // writer/reader filtering, duplicate-key handling, callback pruning,
 // tombstones and growth.
 //
-// Part 2 is the equivalence proof the tentpole rests on: for every COS
-// implementation, an indexed instance driven through randomized keyed
-// insert/get/remove traffic must expose — via debug_edges() — exactly the
-// dependency set the pairwise definition prescribes: an edge (a, b) for
-// every live pair with a inserted before b and keyset_rw_conflict(a, b).
-// The traffic includes the shapes a key index can get wrong: duplicate-key
-// commands ({k, k}, which must register and probe once) and empty key sets
-// (which conflict with nothing). Each instance is checked against its own
-// pairwise model (removal order is implementation-dependent, so the indexed
-// and scan instances each get a model mirroring their own removals), and
-// the scan instance is checked the same way so the test would also catch a
-// regression in the fallback path.
+// Part 2 checks that make_cos refuses a relation without a key extractor.
+//
+// Part 3 is the equivalence proof the COS dependency path rests on: every
+// COS implementation finds dependencies only through the key index, so for
+// every implementation and every relation of conflict.h, an instance driven
+// through randomized insert/get/remove traffic must expose — via
+// debug_edges() — exactly the dependency set the pairwise definition
+// prescribes: an edge (a, b) for every live pair with a inserted before b
+// and conflict(a, b). The traffic includes the shapes a key index can get
+// wrong: duplicate-key commands ({k, k}, which must register and probe
+// once) and empty key sets (which conflict with nothing under the keyset
+// relation). Each instance is checked against a pairwise model that mirrors
+// its own removals, since removal order is implementation-dependent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,12 +211,27 @@ TEST(KeyIndex, GenuinelyFullTableStillDoubles) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 2: indexed-vs-pairwise equivalence on full COS instances.
+// Part 2: key extractors.
 // ---------------------------------------------------------------------------
 
-// Live commands in insertion order plus the pairwise-definition edge set.
+TEST(ConflictKeyExtractor, MakeCosAbortsOnARelationWithoutOne) {
+  const ConflictFn opaque = [](const Command&, const Command&) {
+    return true;
+  };
+  EXPECT_EQ(conflict_key_extractor(opaque), nullptr);
+  EXPECT_DEATH(make_cos({.conflict = opaque}), "");
+}
+
+// ---------------------------------------------------------------------------
+// Part 3: index-vs-pairwise equivalence on full COS instances.
+// ---------------------------------------------------------------------------
+
+// Live commands in insertion order plus the pairwise-definition edge set
+// under one relation.
 class PairwiseModel {
  public:
+  explicit PairwiseModel(ConflictFn conflict) : conflict_(conflict) {}
+
   void insert(const Command& c) { live_.push_back(c); }
 
   void remove(std::uint64_t id) {
@@ -234,7 +250,7 @@ class PairwiseModel {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
     for (std::size_t i = 0; i < live_.size(); ++i) {
       for (std::size_t j = i + 1; j < live_.size(); ++j) {
-        if (keyset_rw_conflict(live_[i], live_[j])) {
+        if (conflict_(live_[i], live_[j])) {
           edges.emplace_back(live_[i].id, live_[j].id);
         }
       }
@@ -244,6 +260,7 @@ class PairwiseModel {
   }
 
  private:
+  const ConflictFn conflict_;
   std::vector<Command> live_;  // insertion order == ascending id
 };
 
@@ -261,19 +278,15 @@ Command keyed_cmd(std::uint64_t id, std::uint64_t k0, std::uint64_t k1,
 // Drives one COS instance through randomized keyed traffic, mirroring every
 // insert and every (implementation-chosen) removal into a pairwise model,
 // and asserts debug_edges() matches the model at quiescent checkpoints.
-void run_equivalence(CosKind kind, bool indexed, std::uint64_t key_space,
-                     std::uint64_t seed) {
+void run_equivalence(CosKind kind, ConflictFn conflict,
+                     std::uint64_t key_space, std::uint64_t seed) {
   constexpr std::size_t kWindow = 128;
   constexpr std::size_t kCommands = 10000;
   SCOPED_TRACE(std::string(cos_kind_name(kind)) +
-               (indexed ? "/indexed" : "/scan") +
                " key_space=" + std::to_string(key_space));
 
-  auto cos = make_cos({.kind = kind,
-                       .capacity = kWindow,
-                       .conflict = keyset_rw_conflict,
-                       .indexed = indexed});
-  PairwiseModel model;
+  auto cos = make_cos({.kind = kind, .capacity = kWindow, .conflict = conflict});
+  PairwiseModel model(conflict);
   Xoshiro256 rng(seed);
 
   std::uint64_t next_id = 1;
@@ -340,22 +353,35 @@ void run_equivalence(CosKind kind, bool indexed, std::uint64_t key_space,
 class DepEquivalenceTest : public ::testing::TestWithParam<CosKind> {};
 
 TEST_P(DepEquivalenceTest, IndexedMatchesPairwiseDefinitionSmallKeySpace) {
-  // 64 keys over a 128-slot window: heavy key reuse, long per-key entry
-  // lists, constant pruning.
-  run_equivalence(GetParam(), /*indexed=*/true, /*key_space=*/64, /*seed=*/17);
+  // keyset_rw_conflict over 64 keys and a 128-slot window: heavy key reuse,
+  // long per-key entry lists, constant pruning.
+  run_equivalence(GetParam(), keyset_rw_conflict, /*key_space=*/64,
+                  /*seed=*/17);
 }
 
 TEST_P(DepEquivalenceTest, IndexedMatchesPairwiseDefinitionLargeKeySpace) {
-  // 4096 keys: mostly-independent commands, tombstone churn in the table.
-  run_equivalence(GetParam(), /*indexed=*/true, /*key_space=*/4096,
+  // keyset_rw_conflict over 4096 keys: mostly-independent commands,
+  // tombstone churn in the table.
+  run_equivalence(GetParam(), keyset_rw_conflict, /*key_space=*/4096,
                   /*seed=*/23);
 }
 
-TEST_P(DepEquivalenceTest, ScanFallbackMatchesPairwiseDefinition) {
-  // Same harness over the non-indexed path: proves the oracle is measuring
-  // the scan's semantics too, so the two tests above compare like to like.
-  run_equivalence(GetParam(), /*indexed=*/false, /*key_space=*/64,
-                  /*seed=*/17);
+TEST_P(DepEquivalenceTest, RwConflictMatchesPairwiseDefinition) {
+  // The list relation: one shared key, so a writer's entry list holds the
+  // whole window and every read probes every live writer.
+  run_equivalence(GetParam(), rw_conflict, /*key_space=*/64, /*seed=*/29);
+}
+
+TEST_P(DepEquivalenceTest, AlwaysConflictMatchesPairwiseDefinition) {
+  // Every command writes the shared key: a full chain of edges, one ready
+  // command at a time.
+  run_equivalence(GetParam(), always_conflict, /*key_space=*/64,
+                  /*seed=*/31);
+}
+
+TEST_P(DepEquivalenceTest, NeverConflictMatchesPairwiseDefinition) {
+  // No keys at all: no edges, every command ready on insert.
+  run_equivalence(GetParam(), never_conflict, /*key_space=*/64, /*seed=*/37);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, DepEquivalenceTest,

@@ -190,11 +190,12 @@ TEST(Factory, ReclaimKnobReachesLockFreeCos) {
     ASSERT_TRUE(h);
     cos->remove(h);
   }
-  // Leak mode parks retired nodes until destruction and frees nothing
-  // (the last removal's physical unlink may still be deferred, so compare
-  // against one less than the churn count).
+  // Leak mode parks retired nodes until destruction and frees nothing.
+  // Physical unlinking runs in sweeps once sweep_threshold() nodes (64 at
+  // capacity 32) are logically removed, so up to 64 of the 256 removals may
+  // not have reached the leak list yet.
   EXPECT_EQ(lf->nodes_reclaimed(), 0u);
-  EXPECT_GE(lf->nodes_pending_reclaim(), 255u);
+  EXPECT_GE(lf->nodes_pending_reclaim(), 256u - 64u);
   cos->close();
 }
 
