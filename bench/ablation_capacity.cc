@@ -3,10 +3,12 @@
 // The paper fixes the graph at 150 node slots for every technique (§7.2)
 // without exploring the choice. This bench sweeps the capacity: too small
 // starves the workers (the ready frontier is clipped), too large inflates
-// every traversal for the scanning implementations — the coarse-grained
-// insert is O(population) and the fine-grained remove walks the whole list,
-// so their throughput *degrades* with capacity, while the lock-free
-// structure mainly needs enough slots to keep all workers fed.
+// the list walks that remain after indexed insertion: the coarse-grained
+// get() scans the list from the head for a ready node while holding the one
+// monitor, and the fine-grained remove() walks hand over hand from the head
+// to the node's predecessor. Both are O(population), so their throughput
+// *degrades* with capacity, while the lock-free structure mainly needs
+// enough slots to keep all workers fed.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -21,8 +21,7 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options) {
       return std::make_unique<FineGrainedCos>(options.capacity,
                                               options.conflict);
     case CosKind::kLockFree:
-      return std::make_unique<LockFreeCos>(options.capacity, options.conflict,
-                                           options.reclaim);
+      return std::make_unique<LockFreeCos>(options.capacity, options.conflict);
     case CosKind::kStriped:
       return std::make_unique<StripedCos>(options.capacity, options.conflict,
                                           options.segment_width);

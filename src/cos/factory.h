@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "cos/cos.h"
-#include "cos/reclaim.h"
 
 namespace psmr {
 
@@ -43,9 +42,6 @@ struct CosOptions {
   // extractor, since every variant tracks dependencies through the key
   // index (dep_tracker.h).
   ConflictFn conflict = nullptr;
-  // Lock-free DAG only: node-reclamation policy (epoch-based vs. leak-until-
-  // destruction, the reclamation ablation's knob).
-  LockFreeReclaim reclaim = LockFreeReclaim::kEpoch;
   // Striped DAG only: nodes per segment lock (the granularity spectrum's
   // dial; 1 behaves like fine-grained, huge widths like coarse-grained).
   std::size_t segment_width = 16;

@@ -9,10 +9,8 @@ namespace psmr {
 
 LockFreeCos::Node::~Node() { delete[] dep_me.load(std::memory_order_relaxed); }  // NOLINT(psmr-relaxed-order-audit) destructor; node unreachable by now
 
-LockFreeCos::LockFreeCos(std::size_t max_size, ConflictFn conflict,
-                         LockFreeReclaim reclaim)
+LockFreeCos::LockFreeCos(std::size_t max_size, ConflictFn conflict)
     : max_size_(max_size),
-      reclaim_(reclaim),
       extract_(conflict_key_extractor(conflict)),
       index_(max_size),
       space_(static_cast<std::ptrdiff_t>(max_size)),
@@ -39,7 +37,6 @@ LockFreeCos::~LockFreeCos() {
     delete node;
     node = next;
   }
-  for (Node* leaked : leaked_) delete leaked;
   ebr_.drain_all_unsafe();
 }
 
@@ -218,13 +215,7 @@ void LockFreeCos::helped_remove(Node* gone, Node* prev) {
   } else {
     prev->nxt.store(next, std::memory_order_seq_cst);
   }
-  if (reclaim_ == LockFreeReclaim::kEpoch) {
-    ebr_.retire(gone);
-  } else {
-    // Leak mode (ablation): defer everything to the destructor — the
-    // cheapest possible hot path, standing in for "a GC that never runs".
-    leaked_.push_back(gone);
-  }
+  ebr_.retire(gone);
 }
 
 // Alg. 7's insert, with dependency discovery via the key index instead of

@@ -16,8 +16,7 @@
 // traversal safety. Here, every operation pins an epoch (memory/ebr.h) and
 // helpedRemove retires unlinked nodes to the epoch domain, which frees them
 // only after two epoch advances — i.e., when no pinned traversal can still
-// hold a reference. A leak mode (reclaim nothing until destruction) exists
-// for the reclamation ablation bench.
+// hold a reference.
 //
 // Deviations from the pseudocode (documented in DESIGN.md):
 //  - lfInsert does not walk the list: it finds the new node's dependencies
@@ -50,7 +49,6 @@
 #include "common/semaphore.h"
 #include "cos/cos.h"
 #include "cos/dep_tracker.h"
-#include "cos/reclaim.h"
 #include "memory/ebr.h"
 
 namespace psmr {
@@ -58,8 +56,7 @@ namespace psmr {
 class LockFreeCos final : public Cos {
  public:
   // `conflict` must have a key extractor (conflict.h); make_cos checks.
-  LockFreeCos(std::size_t max_size, ConflictFn conflict,
-              LockFreeReclaim reclaim = LockFreeReclaim::kEpoch);
+  LockFreeCos(std::size_t max_size, ConflictFn conflict);
   ~LockFreeCos() override;
 
   bool insert(const Command& c) override;
@@ -76,11 +73,9 @@ class LockFreeCos final : public Cos {
   }
   const char* name() const override { return "lock-free"; }
 
-  // Reclamation statistics, for tests and the ablation bench.
-  std::uint64_t nodes_reclaimed() const { return ebr_.total_freed(); }
-  std::size_t nodes_pending_reclaim() const {
-    return ebr_.retired_pending() + leaked_.size();
-  }
+  // Objects the EBR domain has freed so far, for tests: unlinked nodes plus
+  // the dep_me arrays that append_dependent replaced with larger ones.
+  std::uint64_t objects_reclaimed() const { return ebr_.total_freed(); }
 
  private:
   enum State : std::uint8_t { kIns = 0, kWtg = 1, kRdy = 2, kExe = 3, kRmd = 4 };
@@ -135,7 +130,6 @@ class LockFreeCos final : public Cos {
   }
 
   const std::size_t max_size_;
-  const LockFreeReclaim reclaim_;
   // The index is touched *only* by the insert thread, and an entry's node
   // is retired to the EBR domain strictly after helped_remove purged its
   // entries — so entries may name logically removed (kRmd) nodes, which
@@ -152,8 +146,7 @@ class LockFreeCos final : public Cos {
   std::atomic<std::size_t> population_{0};
   std::atomic<bool> closed_{false};
 
-  mutable EbrDomain ebr_;
-  std::vector<Node*> leaked_;        // kLeak mode: inserter only
+  EbrDomain ebr_;
   std::vector<Node*> scratch_deps_;  // insert-probe scratch: inserter only
 };
 

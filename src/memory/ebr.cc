@@ -1,5 +1,6 @@
 #include "memory/ebr.h"
 
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -9,13 +10,25 @@ namespace {
 
 std::atomic<std::uint64_t> g_next_domain_id{1};
 
-// Thread-local registration cache. Domain ids are never reused, so a stale
-// entry for a destroyed domain can never be looked up again.
+// Identity of the calling thread: the address of a thread_local anchor,
+// unique among live threads (a later thread may reuse a dead one's, and
+// with it the dead thread's unpinned slot).
+std::uintptr_t this_thread_token() {
+  static thread_local char t_anchor;
+  return reinterpret_cast<std::uintptr_t>(&t_anchor);
+}
+
+// Thread-local registration cache, direct-mapped by domain id, so a hit is
+// one compare however many domains the thread has pinned. Ids start at 1
+// and are never reused: an empty entry or one left behind by a destroyed
+// domain never matches. A domain whose entry was evicted finds this
+// thread's slot again by owner token (see rec_for_current_thread).
 struct CacheEntry {
   std::uint64_t domain_id;
   void* rec;
 };
-thread_local std::vector<CacheEntry> t_cache;
+constexpr std::size_t kCacheEntries = 16;
+thread_local std::array<CacheEntry, kCacheEntries> t_cache{};
 
 }  // namespace
 
@@ -29,24 +42,31 @@ EbrDomain::EbrDomain()
 EbrDomain::~EbrDomain() { drain_all_unsafe(); }
 
 EbrDomain::ThreadRec* EbrDomain::rec_for_current_thread() {
-  for (const auto& entry : t_cache) {
-    if (entry.domain_id == id_) return static_cast<ThreadRec*>(entry.rec);
+  CacheEntry& entry = t_cache[id_ % kCacheEntries];
+  if (entry.domain_id == id_) return static_cast<ThreadRec*>(entry.rec);
+  // Miss: reuse this thread's slot if it registered before and its cache
+  // entry was evicted, else claim a fresh one. Only this thread can own a
+  // slot under its token, so the scan cannot race with itself.
+  const std::uintptr_t me = this_thread_token();
+  ThreadRec* rec = nullptr;
+  const std::size_t hw = high_water_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < hw && rec == nullptr; ++i) {
+    if (recs_[i].owner.load(std::memory_order_acquire) == me) rec = &recs_[i];
   }
-  // Slow path: claim a fresh slot.
-  for (std::size_t i = 0; i < kMaxThreads; ++i) {
-    bool expected = false;
-    if (recs_[i].used.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-      std::size_t hw = high_water_.load(std::memory_order_relaxed);
-      while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                               hw, i + 1, std::memory_order_acq_rel)) {
+  for (std::size_t i = 0; i < kMaxThreads && rec == nullptr; ++i) {
+    std::uintptr_t expected = 0;
+    if (recs_[i].owner.compare_exchange_strong(expected, me,
+                                               std::memory_order_acq_rel)) {
+      std::size_t hw_now = high_water_.load(std::memory_order_relaxed);
+      while (hw_now < i + 1 && !high_water_.compare_exchange_weak(
+                                   hw_now, i + 1, std::memory_order_acq_rel)) {
       }
-      t_cache.push_back({id_, &recs_[i]});
-      return &recs_[i];
+      rec = &recs_[i];
     }
   }
-  assert(false && "EbrDomain: more than kMaxThreads registered");
-  return nullptr;
+  assert(rec != nullptr && "EbrDomain: more than kMaxThreads registered");
+  entry = {id_, rec};
+  return rec;
 }
 
 EbrDomain::Guard EbrDomain::pin() {
@@ -68,8 +88,7 @@ void EbrDomain::retire_raw(void* ptr, void (*deleter)(void*)) {
   if (single_remover_.load(std::memory_order_relaxed)) {
     // Sticky first-retirer identity: the first retire claims the slot, any
     // retire from a different thread afterwards is an invariant violation.
-    static thread_local char t_anchor;
-    const auto tid = reinterpret_cast<std::uintptr_t>(&t_anchor);
+    const std::uintptr_t tid = this_thread_token();
     std::uintptr_t expected = 0;
     if (!debug_retirer_.compare_exchange_strong(expected, tid,
                                                 std::memory_order_relaxed) &&

@@ -10,8 +10,11 @@
 // two steps past it, at which point no traversal can still hold a reference.
 //
 // Design notes:
-//  - Threads register lazily (thread-local cache keyed by a never-reused
-//    domain id), so callers just do `auto g = domain.pin();`.
+//  - Threads register lazily, so callers just do `auto g = domain.pin();`.
+//    A small direct-mapped thread-local cache, keyed by a never-reused
+//    domain id, makes the lookup O(1) and bounded however many domains a
+//    thread pins over its life; on a miss the thread finds its own slot by
+//    owner token before it claims a new one.
 //  - Retired nodes go on the retiring thread's private limbo list; no
 //    synchronization on the retire path except the epoch reads.
 //  - Epoch advancement is attempted opportunistically on retire and can be
@@ -120,7 +123,7 @@ class EbrDomain {
     return global_epoch_.value.load(std::memory_order_seq_cst);
   }
 
-  // Statistics (approximate; for tests and the reclamation bench).
+  // Statistics (approximate; for tests).
   std::size_t retired_pending() const;
   std::uint64_t total_freed() const {
     return total_freed_.value.load(std::memory_order_relaxed);
@@ -135,7 +138,7 @@ class EbrDomain {
 
   struct ThreadRec {
     Padded<std::atomic<std::uint64_t>> epoch;  // kIdle when not pinned
-    std::atomic<bool> used{false};
+    std::atomic<std::uintptr_t> owner{0};  // registering thread's token
     // kReclaim is the innermost rank: retire() may run under COS node or
     // segment locks, and the deleters it invokes take no locks at all.
     RankedMutex<lock_rank::kReclaim> limbo_mu;
@@ -154,8 +157,7 @@ class EbrDomain {
   Padded<std::atomic<std::uint64_t>> total_freed_;
 
   // Single-remover debug check (see debug_expect_single_remover). The
-  // retirer identity is the address of a thread_local anchor — unique per
-  // live thread, comparable without <thread>.
+  // retirer identity is the same thread token that owns a slot.
   std::atomic<bool> single_remover_{false};
   std::atomic<std::uintptr_t> debug_retirer_{0};
 };

@@ -197,7 +197,7 @@ void Replica::scheduler_loop() {
     metrics_.batch_size.record(delivery->batch.size());
     // At-most-once filtering (drop retransmissions / view-change
     // re-proposals), then hand the surviving commands to the COS as one
-    // batch — the lock-free DAG inserts them in a single traversal.
+    // batch — the lock-free DAG takes its `space` permits once per chunk.
     std::vector<Command> fresh;
     fresh.reserve(delivery->batch.size());
     {

@@ -5,9 +5,8 @@
 // the soundness contract they promise the scheduler.
 //
 // Part 2 covers the factory surface: name round-trips for every CosKind and
-// SchedulerPolicy value (including aliases), the deprecated positional
-// make_cos overload, and reachability of the new CosOptions knobs
-// (LockFreeReclaim, segment_width) through the factory.
+// SchedulerPolicy value (including aliases), and reachability of the
+// segment_width knob through the factory.
 //
 // Part 3 is the equivalence proof the tentpole rests on: for randomized
 // Zipf KV, bank (with cross-class transfers) and linked-list workloads, the
@@ -29,7 +28,6 @@
 #include "cos/class_map.h"
 #include "cos/early_sched.h"
 #include "cos/factory.h"
-#include "cos/lock_free.h"
 #include "cos/striped.h"
 #include "workload/ds_driver.h"
 #include "workload/generator.h"
@@ -172,31 +170,6 @@ TEST(Factory, SchedulerPolicyNamesRoundTrip) {
   EXPECT_TRUE(parse_scheduler_policy("seq", &parsed));
   EXPECT_EQ(parsed, SchedulerPolicy::kSequential);
   EXPECT_FALSE(parse_scheduler_policy("eager", &parsed));
-}
-
-TEST(Factory, ReclaimKnobReachesLockFreeCos) {
-  auto cos = make_cos({.kind = CosKind::kLockFree,
-                       .capacity = 32,
-                       .conflict = rw_conflict,
-                       .reclaim = LockFreeReclaim::kLeak});
-  auto* lf = dynamic_cast<LockFreeCos*>(cos.get());
-  ASSERT_NE(lf, nullptr);
-  // Churn enough commands that epoch reclamation would have freed some.
-  for (std::uint64_t id = 1; id <= 256; ++id) {
-    Command c = LinkedListService::make_add(id);
-    c.id = id;
-    ASSERT_TRUE(cos->insert(c));
-    CosHandle h = cos->get();
-    ASSERT_TRUE(h);
-    cos->remove(h);
-  }
-  // Leak mode parks retired nodes until destruction and frees nothing.
-  // Physical unlinking runs in sweeps once sweep_threshold() nodes (64 at
-  // capacity 32) are logically removed, so up to 64 of the 256 removals may
-  // not have reached the leak list yet.
-  EXPECT_EQ(lf->nodes_reclaimed(), 0u);
-  EXPECT_GE(lf->nodes_pending_reclaim(), 256u - 64u);
-  cos->close();
 }
 
 TEST(Factory, SegmentWidthKnobReachesStripedCos) {

@@ -152,5 +152,41 @@ TEST(Ebr, SequentialDomainsDoNotAliasRegistrations) {
   EXPECT_EQ(alive.load(), 0);
 }
 
+TEST(Ebr, ManyShortLivedDomainsLeaveOlderDomainWorking) {
+  // One thread pins a long stream of domains while an older one stays
+  // alive. The registration cache is bounded, so the older domain's entry
+  // is evicted along the way; the thread must then find its existing slot
+  // again rather than claim a second one. An object retired before the
+  // stream sits in that slot's limbo, so flush() from this thread frees it
+  // only if the thread came back to the same slot.
+  std::atomic<int> alive{0};
+  EbrDomain old_domain;
+  {
+    auto guard = old_domain.pin();
+  }
+  old_domain.retire(new Tracked(alive));
+  for (int round = 0; round < 1000; ++round) {
+    EbrDomain domain;
+    {
+      auto guard = domain.pin();
+    }
+    domain.retire(new Tracked(alive));
+    domain.flush();
+  }
+  EXPECT_EQ(alive.load(), 1);  // only old_domain's object is left
+  {
+    auto guard = old_domain.pin();
+    old_domain.retire(new Tracked(alive));
+    old_domain.flush();
+    old_domain.flush();
+    EXPECT_EQ(alive.load(), 2);  // this thread's pin holds both back
+  }
+  old_domain.flush();
+  old_domain.flush();
+  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(old_domain.total_freed(), 2u);
+  EXPECT_EQ(old_domain.retired_pending(), 0u);
+}
+
 }  // namespace
 }  // namespace psmr
