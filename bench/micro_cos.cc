@@ -85,7 +85,7 @@ void BM_CosInsertOnly(benchmark::State& state) {
 // the keyed insert throughput. Rebuilding keeps the untimed part linear:
 // draining the window through get() instead would rescan from the list head
 // on every call. A fresh COS holds no logically removed nodes, so these rows
-// do not include the lock-free and striped sweeps; BM_CosCycle does.
+// do not include the lock-free sweep; BM_CosCycle does.
 void BM_CosInsertKeyed(benchmark::State& state) {
   const auto kind = static_cast<CosKind>(state.range(0));
   const auto window = static_cast<std::size_t>(state.range(1));
@@ -151,18 +151,26 @@ void BM_SemaphorePingPong(benchmark::State& state) {
   partner.join();
 }
 
+// The COS implementations every row sweeps, passed as the first argument.
+constexpr CosKind kKinds[] = {CosKind::kCoarseGrained, CosKind::kFineGrained,
+                              CosKind::kLockFree};
+
+void cos_kind_args(benchmark::internal::Benchmark* bench) {
+  for (CosKind kind : kKinds) bench->Arg(static_cast<int>(kind));
+}
+
 void cos_cycle_args(benchmark::internal::Benchmark* bench) {
-  for (int kind = 0; kind < 3; ++kind) {
+  for (CosKind kind : kKinds) {
     for (int population : {0, 25, 75, 149}) {
-      bench->Args({kind, population});
+      bench->Args({static_cast<int>(kind), population});
     }
   }
 }
 
 void cos_insert_keyed_args(benchmark::internal::Benchmark* bench) {
-  for (int kind = 0; kind < 4; ++kind) {
+  for (CosKind kind : kKinds) {
     for (int window : {512, 8192}) {
-      bench->Args({kind, window});
+      bench->Args({static_cast<int>(kind), window});
     }
   }
 }
@@ -171,9 +179,7 @@ void cos_insert_keyed_args(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(BM_CosCycle)->Apply(cos_cycle_args)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_CosInsertOnly)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->Apply(cos_kind_args)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_CosInsertKeyed)
     ->Apply(cos_insert_keyed_args)

@@ -5,7 +5,6 @@
 #include "cos/coarse_grained.h"
 #include "cos/fine_grained.h"
 #include "cos/lock_free.h"
-#include "cos/striped.h"
 
 namespace psmr {
 
@@ -22,9 +21,6 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options) {
                                               options.conflict);
     case CosKind::kLockFree:
       return std::make_unique<LockFreeCos>(options.capacity, options.conflict);
-    case CosKind::kStriped:
-      return std::make_unique<StripedCos>(options.capacity, options.conflict,
-                                          options.segment_width);
   }
   std::abort();  // unreachable: the switch above is exhaustive over CosKind
 }
@@ -36,8 +32,6 @@ bool parse_cos_kind(std::string_view name, CosKind* out) {
     *out = CosKind::kFineGrained;
   } else if (name == "lock-free" || name == "lockfree") {
     *out = CosKind::kLockFree;
-  } else if (name == "striped") {
-    *out = CosKind::kStriped;
   } else {
     return false;
   }
@@ -52,8 +46,6 @@ const char* cos_kind_name(CosKind kind) {
       return "fine-grained";
     case CosKind::kLockFree:
       return "lock-free";
-    case CosKind::kStriped:
-      return "striped";
   }
   return "?";
 }

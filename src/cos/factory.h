@@ -15,7 +15,6 @@ enum class CosKind {
   kCoarseGrained,  // Alg. 2 (CBASE-style monitor)
   kFineGrained,    // Algs. 3-4 (lock coupling)
   kLockFree,       // Algs. 5-7 (nonblocking + lazy removal)
-  kStriped,        // extension: segment locks (§7.3.2's granularity remark)
 };
 
 // How a replica maps delivery order to execution order.
@@ -30,7 +29,7 @@ inline constexpr std::size_t kPaperGraphSize = 150;
 
 // Construction parameters for make_cos(). Aggregate — override fields with
 // designated initializers, e.g.
-//   make_cos({.kind = CosKind::kStriped, .conflict = fn, .segment_width = 8})
+//   make_cos({.kind = CosKind::kFineGrained, .conflict = fn})
 struct CosOptions {
   // Which implementation to build.
   CosKind kind = CosKind::kLockFree;
@@ -42,16 +41,12 @@ struct CosOptions {
   // extractor, since every variant tracks dependencies through the key
   // index (dep_tracker.h).
   ConflictFn conflict = nullptr;
-  // Striped DAG only: nodes per segment lock (the granularity spectrum's
-  // dial; 1 behaves like fine-grained, huge widths like coarse-grained).
-  std::size_t segment_width = 16;
 };
 
 std::unique_ptr<Cos> make_cos(const CosOptions& options);
 
-// Parses "coarse-grained" / "fine-grained" / "lock-free" / "striped" (also
-// accepts the short forms "coarse", "fine", "lockfree"). Returns false on
-// unknown names.
+// Parses "coarse-grained" / "fine-grained" / "lock-free" (also accepts the
+// short forms "coarse", "fine", "lockfree"). Returns false on unknown names.
 bool parse_cos_kind(std::string_view name, CosKind* out);
 
 const char* cos_kind_name(CosKind kind);

@@ -22,8 +22,6 @@ class Simulation {
                      static_cast<VirtualNs>(
                          config.kind == psmr::CosKind::kFineGrained
                              ? config.costs.fine_handoff_ns
-                         : config.kind == psmr::CosKind::kStriped
-                             ? config.costs.striped_handoff_ns
                              : config.costs.mutex_handoff_ns)),
         arrivals_(des_, 0) {
     exec_ns_ = static_cast<VirtualNs>(
@@ -49,13 +47,6 @@ class Simulation {
         remove_cost_ = cfg_.costs.lf_remove;
         contention_ = cfg_.costs.lf_contention_coeff;
         uses_mutex_ = false;
-        break;
-      case psmr::CosKind::kStriped:
-        insert_cost_ = cfg_.costs.striped_insert;
-        get_cost_ = cfg_.costs.striped_get;
-        remove_cost_ = cfg_.costs.striped_remove;
-        contention_ = cfg_.costs.mutex_contention_coeff;
-        uses_mutex_ = true;
         break;
     }
   }

@@ -65,12 +65,6 @@ struct CostModel {
   LinearCost lf_insert{220, 4.0};
   LinearCost lf_get{20, 2.0};
   LinearCost lf_remove{30, 2.0};
-  // Striped (segment-locked) extension: coarse-like per-node costs, but
-  // traversals bounce through one lock per segment instead of one lock per
-  // list, so the effective handoff is a fraction of the fine-grained one.
-  LinearCost striped_insert{45, 2.6};
-  LinearCost striped_get{25, 1.2};
-  LinearCost striped_remove{30, 1.0};
 
   // Per-command execution cost for the paper's light/moderate/heavy list
   // sizes (1k/10k/100k sorted-list traversal), measured on the reference
@@ -85,7 +79,6 @@ struct CostModel {
   // which shows up as a larger effective per-operation wake cost.
   double mutex_handoff_ns = 1500;
   double fine_handoff_ns = 2500;
-  double striped_handoff_ns = 800;
 
   // Residual proportional inflation (cache-line ping-pong on shared data)
   // per extra active worker.

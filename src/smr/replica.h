@@ -51,7 +51,7 @@ class Replica {
     // fallback — uses the service's class_map()), or the classical
     // sequential baseline.
     SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-    // COS construction knobs (kind, capacity, segment_width).
+    // COS construction knobs (kind, capacity).
     // `cos.conflict` is ignored — the replica always uses the service's
     // conflict relation.
     CosOptions cos;

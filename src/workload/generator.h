@@ -30,7 +30,7 @@ std::vector<Command> make_kv_workload(const KvService& service,
 // Skewed KV workload: keys drawn Zipf(theta) over [0, key_space), then
 // scattered by a mix so hot keys don't cluster in one shard. theta = 0 is
 // uniform; theta = 0.99 is the YCSB-style heavy skew. Used by the
-// ablation_index bench to sweep key-space contention.
+// bench/e2e kv-zipf-3r workload and early_sched_test.
 std::vector<Command> make_kv_workload_zipf(const KvService& service,
                                            std::size_t count, double write_pct,
                                            std::uint64_t key_space,

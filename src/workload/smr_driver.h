@@ -16,8 +16,7 @@ namespace psmr {
 struct SmrDriverConfig {
   // Scheduler policy for every replica (cos-dag / early / sequential).
   SchedulerPolicy policy = SchedulerPolicy::kCosDag;
-  // COS knobs (kind, capacity, segment_width); conflict is taken
-  // from the service.
+  // COS knobs (kind, capacity); conflict is taken from the service.
   CosOptions cos;
   int workers = 4;
   ExecCost cost = ExecCost::kLight;

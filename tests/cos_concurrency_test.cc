@@ -42,9 +42,6 @@ std::string param_name(const ::testing::TestParamInfo<StressParam>& info) {
     case CosKind::kLockFree:
       name = "LockFree";
       break;
-    case CosKind::kStriped:
-      name = "Striped";
-      break;
   }
   name += "_w" + std::to_string(info.param.workers);
   name += "_wr" + std::to_string(static_cast<int>(info.param.write_pct));
@@ -155,12 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
         // predecessor lock was dropped before locking the successor).
         StressParam{CosKind::kFineGrained, 32, 10},
         StressParam{CosKind::kCoarseGrained, 32, 10},
-        StressParam{CosKind::kLockFree, 32, 10},
-        StressParam{CosKind::kStriped, 1, 10},
-        StressParam{CosKind::kStriped, 4, 0},
-        StressParam{CosKind::kStriped, 4, 10},
-        StressParam{CosKind::kStriped, 8, 50},
-        StressParam{CosKind::kStriped, 32, 10}),
+        StressParam{CosKind::kLockFree, 32, 10}),
     param_name);
 
 // Executes a real service under each COS and checks that the final state
@@ -213,8 +205,7 @@ TEST_P(CosDeterminismTest, StateMatchesSequentialExecution) {
 INSTANTIATE_TEST_SUITE_P(AllImplementations, CosDeterminismTest,
                          ::testing::Values(CosKind::kCoarseGrained,
                                            CosKind::kFineGrained,
-                                           CosKind::kLockFree,
-                                           CosKind::kStriped),
+                                           CosKind::kLockFree),
                          [](const auto& info) {
                            switch (info.param) {
                              case CosKind::kCoarseGrained:
@@ -223,8 +214,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CosDeterminismTest,
                                return "FineGrained";
                              case CosKind::kLockFree:
                                return "LockFree";
-                             case CosKind::kStriped:
-                               return "Striped";
                            }
                            return "Unknown";
                          });
@@ -232,8 +221,7 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CosDeterminismTest,
 // Keyed stress of the indexed dependency tracker under real concurrency:
 // scheduler inserting bank transfers/balances while workers execute and
 // remove. Exercises every variant's index-vs-removal synchronization
-// (eager prune under the coarse lock, the striped segment sweep, the
-// fine-grained deletion fence, lock-free lazy pruning + EBR), which the
+// (eager prune under the coarse lock, the fine-grained deletion fence, lock-free lazy pruning + EBR), which the
 // single-threaded equivalence test cannot. Run under TSan this is the
 // data-race check for the tracker; the conserved total balance and the
 // sequential-reference digest catch missed or duplicated dependencies.
@@ -286,8 +274,7 @@ TEST_P(IndexedKeyedStressTest, BankStateMatchesSequentialExecution) {
 INSTANTIATE_TEST_SUITE_P(AllImplementations, IndexedKeyedStressTest,
                          ::testing::Values(CosKind::kCoarseGrained,
                                            CosKind::kFineGrained,
-                                           CosKind::kLockFree,
-                                           CosKind::kStriped),
+                                           CosKind::kLockFree),
                          [](const auto& info) {
                            switch (info.param) {
                              case CosKind::kCoarseGrained:
@@ -296,8 +283,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, IndexedKeyedStressTest,
                                return "FineGrained";
                              case CosKind::kLockFree:
                                return "LockFree";
-                             case CosKind::kStriped:
-                               return "Striped";
                            }
                            return "Unknown";
                          });

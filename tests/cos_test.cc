@@ -392,8 +392,7 @@ TEST_P(CosSemanticsTest, ReuseAfterDrainManyRounds) {
 INSTANTIATE_TEST_SUITE_P(AllImplementations, CosSemanticsTest,
                          ::testing::Values(CosKind::kCoarseGrained,
                                            CosKind::kFineGrained,
-                                           CosKind::kLockFree,
-                                           CosKind::kStriped),
+                                           CosKind::kLockFree),
                          [](const auto& info) {
                            switch (info.param) {
                              case CosKind::kCoarseGrained:
@@ -402,8 +401,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CosSemanticsTest,
                                return "FineGrained";
                              case CosKind::kLockFree:
                                return "LockFree";
-                             case CosKind::kStriped:
-                               return "Striped";
                            }
                            return "Unknown";
                          });

@@ -387,8 +387,7 @@ TEST_P(DepEquivalenceTest, NeverConflictMatchesPairwiseDefinition) {
 INSTANTIATE_TEST_SUITE_P(AllImplementations, DepEquivalenceTest,
                          ::testing::Values(CosKind::kCoarseGrained,
                                            CosKind::kFineGrained,
-                                           CosKind::kLockFree,
-                                           CosKind::kStriped),
+                                           CosKind::kLockFree),
                          [](const auto& info) {
                            switch (info.param) {
                              case CosKind::kCoarseGrained:
@@ -397,8 +396,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, DepEquivalenceTest,
                                return "FineGrained";
                              case CosKind::kLockFree:
                                return "LockFree";
-                             case CosKind::kStriped:
-                               return "Striped";
                            }
                            return "Unknown";
                          });

@@ -5,8 +5,7 @@
 // the soundness contract they promise the scheduler.
 //
 // Part 2 covers the factory surface: name round-trips for every CosKind and
-// SchedulerPolicy value (including aliases), and reachability of the
-// segment_width knob through the factory.
+// SchedulerPolicy value (including aliases).
 //
 // Part 3 is the equivalence proof the tentpole rests on: for randomized
 // Zipf KV, bank (with cross-class transfers) and linked-list workloads, the
@@ -28,7 +27,7 @@
 #include "cos/class_map.h"
 #include "cos/early_sched.h"
 #include "cos/factory.h"
-#include "cos/striped.h"
+#include "tools/options.h"
 #include "workload/ds_driver.h"
 #include "workload/generator.h"
 
@@ -124,8 +123,7 @@ TEST(RwClassMap, WritesSyncReadsSpread) {
 
 TEST(Factory, CosKindNamesRoundTrip) {
   for (const CosKind kind :
-       {CosKind::kCoarseGrained, CosKind::kFineGrained, CosKind::kLockFree,
-        CosKind::kStriped}) {
+       {CosKind::kCoarseGrained, CosKind::kFineGrained, CosKind::kLockFree}) {
     CosKind parsed{};
     ASSERT_TRUE(parse_cos_kind(cos_kind_name(kind), &parsed))
         << cos_kind_name(kind);
@@ -141,7 +139,6 @@ TEST(Factory, CosKindAliasesParse) {
       {"coarse", CosKind::kCoarseGrained},
       {"fine", CosKind::kFineGrained},
       {"lockfree", CosKind::kLockFree},
-      {"striped", CosKind::kStriped},
   };
   for (const auto& c : cases) {
     CosKind parsed{};
@@ -151,6 +148,13 @@ TEST(Factory, CosKindAliasesParse) {
   CosKind ignored{};
   EXPECT_FALSE(parse_cos_kind("hand-over-hand", &ignored));
   EXPECT_FALSE(parse_cos_kind("", &ignored));
+  // Only the paper's three kinds parse. psmr_node resolves --cos through
+  // SchedulerFlags, so it refuses the same names.
+  EXPECT_FALSE(parse_cos_kind("striped", &ignored));
+  tools::SchedulerFlags node_flags;
+  node_flags.cos = "striped";
+  SchedulerPolicy policy{};
+  EXPECT_FALSE(node_flags.resolve(&ignored, &policy));
 }
 
 TEST(Factory, SchedulerPolicyNamesRoundTrip) {
@@ -170,17 +174,6 @@ TEST(Factory, SchedulerPolicyNamesRoundTrip) {
   EXPECT_TRUE(parse_scheduler_policy("seq", &parsed));
   EXPECT_EQ(parsed, SchedulerPolicy::kSequential);
   EXPECT_FALSE(parse_scheduler_policy("eager", &parsed));
-}
-
-TEST(Factory, SegmentWidthKnobReachesStripedCos) {
-  auto cos = make_cos({.kind = CosKind::kStriped,
-                       .capacity = 64,
-                       .conflict = rw_conflict,
-                       .segment_width = 4});
-  auto* striped = dynamic_cast<StripedCos*>(cos.get());
-  ASSERT_NE(striped, nullptr);
-  EXPECT_EQ(striped->segment_width(), 4u);
-  cos->close();
 }
 
 // ---------------------------------------------------------------------------

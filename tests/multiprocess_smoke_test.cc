@@ -186,4 +186,28 @@ TEST(MultiProcessSmoke, ThreeReplicasOneClientConvergeOnDigest) {
   EXPECT_GE(std::stoull(executed[0]), std::stoull(completed));
 }
 
+// A replica given a scheduler value it cannot use exits 2 at once, like an
+// unknown flag, instead of running without executing anything.
+TEST(MultiProcessSmoke, BadSchedulerValuesExitTwo) {
+  const std::string peers = "127.0.0.1:" + std::to_string(pick_free_port());
+  const std::string log = ::testing::TempDir() + "/psmr_smoke_bad_" +
+                          std::to_string(getpid()) + ".log";
+  for (const char* bad : {"--cos=striped", "--workers=0", "--workers=abc",
+                          "--graph-size=0"}) {
+    const pid_t pid = spawn_node({"--role=replica", "--id=0",
+                                  "--peers=" + peers, "--service=kv",
+                                  "--run-ms=1000", bad},
+                                 log);
+    ASSERT_GT(pid, 0);
+    int status = -1;
+    if (!wait_exit(pid, 10000, &status)) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+      FAIL() << bad << " did not exit";
+    }
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad << "; log:\n" << slurp(log);
+  }
+}
+
 }  // namespace

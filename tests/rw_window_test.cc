@@ -175,8 +175,7 @@ TEST_P(CosOracleTest, HandoutOrderMatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(AllImplementations, CosOracleTest,
                          ::testing::Values(psmr::CosKind::kCoarseGrained,
                                            psmr::CosKind::kFineGrained,
-                                           psmr::CosKind::kLockFree,
-                                           psmr::CosKind::kStriped),
+                                           psmr::CosKind::kLockFree),
                          [](const auto& info) {
                            switch (info.param) {
                              case psmr::CosKind::kCoarseGrained:
@@ -185,8 +184,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CosOracleTest,
                                return "FineGrained";
                              case psmr::CosKind::kLockFree:
                                return "LockFree";
-                             case psmr::CosKind::kStriped:
-                               return "Striped";
                            }
                            return "Unknown";
                          });

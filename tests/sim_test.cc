@@ -191,21 +191,6 @@ TEST(CosModel, LockFreeBeatsBlockingAtScale) {
   EXPECT_GT(lock_free, fine);
 }
 
-TEST(CosModel, StripedInterpolatesTheGranularitySpectrum) {
-  // The striped model has coarse-like per-node costs but a smaller handoff
-  // penalty; under contention it should at least beat the fine-grained
-  // model and complete like the others.
-  SimConfig config = base_config();
-  config.cost = psmr::ExecCost::kModerate;
-  config.workers = 32;
-  config.kind = psmr::CosKind::kStriped;
-  const double striped = simulate_cos(config).throughput_kops;
-  config.kind = psmr::CosKind::kFineGrained;
-  const double fine = simulate_cos(config).throughput_kops;
-  EXPECT_GT(striped, 0.0);
-  EXPECT_GT(striped, fine);
-}
-
 TEST(CosModel, FullWriteWorkloadSerializes) {
   // 100% writes: every command conflicts with every other, so workers
   // beyond the first must not help. Mean population should also stay at

@@ -85,9 +85,6 @@ std::string smr_param_name(const ::testing::TestParamInfo<SmrParam>& info) {
     case CosKind::kLockFree:
       name = "LockFree";
       break;
-    case CosKind::kStriped:
-      name = "Striped";
-      break;
   }
   if (info.param.policy == SchedulerPolicy::kEarlyScheduling) {
     name = "Early" + name;

@@ -8,9 +8,9 @@ class LockFreeCos {
     Node *next;
   };
 };
-class StripedCos {
+class FineGrainedCos {
  public:
-  struct Segment {
+  struct Node {
     int used;
   };
 };
@@ -26,7 +26,7 @@ void drop_a_node(psmr::LockFreeCos::Node *n) {
   delete n;  // flagged: bypasses the EBR retire path
 }
 
-void churn_segment() {
-  auto *s = new psmr::StripedCos::Segment{};  // flagged
-  delete s;                                   // flagged
+void churn_fine_node() {
+  auto *n = new psmr::FineGrainedCos::Node{};  // flagged
+  delete n;                                    // flagged
 }

@@ -6,7 +6,9 @@
 // the common scalar kinds), then call parse(); any flag that was not
 // registered is an error — parse() prints "unknown flag: ..." to stderr
 // and returns false, and every caller exits with code 2, the contract the
-// multiprocess smoke test and the CI scripts rely on.
+// multiprocess smoke test and the CI scripts rely on. The numeric helpers
+// reject, the same way, a value that is not entirely one number of their
+// type ("abc", "4x", "", a sign on an unsigned, out of range).
 //
 // On top of FlagSet sit two reusable bundles so the scheduler and metrics
 // knobs are spelled identically everywhere:
@@ -14,9 +16,9 @@
 //   MetricsFlags    --metrics-dump-ms, --metrics-format
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -56,32 +58,18 @@ class FlagSet {
     add_switch(std::move(name), [out] { *out = true; });
   }
 
-  void add_int(std::string name, int* out) {
-    add_value(std::move(name), [out](const char* v) {
-      *out = std::atoi(v);
-      return true;
-    });
-  }
+  void add_int(std::string name, int* out) { add_number(std::move(name), out); }
 
   void add_uint64(std::string name, std::uint64_t* out) {
-    add_value(std::move(name), [out](const char* v) {
-      *out = std::strtoull(v, nullptr, 10);
-      return true;
-    });
+    add_number(std::move(name), out);
   }
 
   void add_size(std::string name, std::size_t* out) {
-    add_value(std::move(name), [out](const char* v) {
-      *out = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-      return true;
-    });
+    add_number(std::move(name), out);
   }
 
   void add_double(std::string name, double* out) {
-    add_value(std::move(name), [out](const char* v) {
-      *out = std::atof(v);
-      return true;
-    });
+    add_number(std::move(name), out);
   }
 
   // Parses argv[1..argc). Returns false (after a message on stderr) on an
@@ -96,6 +84,20 @@ class FlagSet {
   }
 
  private:
+  // Accepts `value` only when all of it parses as one T; `*out` is left
+  // untouched otherwise.
+  template <typename T>
+  void add_number(std::string name, T* out) {
+    add_value(std::move(name), [out](const char* v) {
+      const char* end = v + std::strlen(v);
+      T value{};
+      const auto [ptr, ec] = std::from_chars(v, end, value);
+      if (ec != std::errc() || ptr != end) return false;
+      *out = value;
+      return true;
+    });
+  }
+
   struct Flag {
     std::string name;                    // including the leading "--"
     ValueHandler on_value;               // non-null for --name=value flags
@@ -152,8 +154,8 @@ struct SchedulerFlags {
     flags->add_int("--workers", &workers);
   }
 
-  // Resolves the textual spellings; prints to stderr and returns false on
-  // an unrecognized name.
+  // Resolves the textual spellings and checks the sizes; prints to stderr
+  // and returns false on an unrecognized name or a count below 1.
   bool resolve(CosKind* kind, SchedulerPolicy* out_policy) const {
     if (!parse_cos_kind(cos, kind)) {
       std::fprintf(stderr, "unknown --cos=%s\n", cos.c_str());
@@ -161,6 +163,10 @@ struct SchedulerFlags {
     }
     if (!parse_scheduler_policy(policy, out_policy)) {
       std::fprintf(stderr, "unknown --policy=%s\n", policy.c_str());
+      return false;
+    }
+    if (workers < 1 || graph_size < 1) {
+      std::fprintf(stderr, "--workers and --graph-size must be at least 1\n");
       return false;
     }
     return true;
