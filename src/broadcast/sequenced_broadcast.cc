@@ -111,6 +111,7 @@ std::uint64_t SequencedBroadcast::propose_locked() {
     slot.view = view_;
     slot.batch = batch;
     slot.acks = {index_};
+    slot.sent_ns = now_ns();
     broadcast_to_replicas_locked(
         make_message<AcceptMsg>(view_, seq, std::move(batch)));
 
@@ -355,6 +356,29 @@ std::vector<LogEntrySummary> SequencedBroadcast::accepted_log_locked() const {
   return entries;
 }
 
+// A slot whose ACCEPT or ACCEPTED is lost on every follower link never
+// commits by itself, and gap-free delivery stops behind it on every
+// replica. Only the oldest uncommitted slot blocks delivery; a later one
+// that stalls becomes the oldest once the earlier ones commit.
+void SequencedBroadcast::resend_stalled_accept_locked(std::uint64_t now) {
+  auto it = log_.upper_bound(last_delivered_);
+  while (it != log_.end() && it->second.committed) ++it;
+  if (it == log_.end()) return;
+  Slot& slot = it->second;
+  // `now` was read before the tick could drop mu_ to deliver, so a slot
+  // proposed meanwhile may carry a later sent_ns.
+  if (now < slot.sent_ns + config_.heartbeat_interval_ms * 1'000'000ull) {
+    return;
+  }
+  slot.sent_ns = now;
+  const MessagePtr accept =
+      make_message<AcceptMsg>(view_, it->first, slot.batch);
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    if (slot.acks.contains(static_cast<int>(i))) continue;
+    net_.send(self_, replicas_[i], accept);
+  }
+}
+
 void SequencedBroadcast::start_view_change_locked(std::uint64_t target_view) {
   metrics_.view_changes.inc();
   view_changing_ = true;
@@ -416,6 +440,7 @@ void SequencedBroadcast::process_view_change_locked(int from_index,
     slot.batch = entry.batch;
     slot.acks = {index_};
     slot.committed = false;
+    slot.sent_ns = now_ns();  // NEWVIEW below carries it
   }
   next_seq_ = max_seq + 1;
 
@@ -476,6 +501,7 @@ void SequencedBroadcast::timer_loop() {
     // The tick: heartbeats and failure detection.
     next_tick_ns = now + tick_ns;
     if (am_leader) {
+      resend_stalled_accept_locked(now);
       if (now - last_heartbeat_sent_ns_ >=
           config_.heartbeat_interval_ms * 1'000'000ull) {
         metrics_.heartbeats.inc();

@@ -18,7 +18,10 @@
 //   and sends ACCEPT(view, seq, batch); replicas log it and answer ACCEPTED;
 //   on a majority (counting itself) the leader sends COMMIT; every replica
 //   delivers committed batches in sequence order (gap-free) through the
-//   deliver callback.
+//   deliver callback. If loss eats a slot's ACCEPTs or ACCEPTEDs on every
+//   follower link, the leader's tick re-sends the oldest uncommitted slot's
+//   ACCEPT, a heartbeat interval after it last went out, to the replicas
+//   that have not acknowledged it.
 //
 // Log retention:
 //   ACCEPTED(seq, delivered) carries the sender's delivery watermark. The
@@ -148,6 +151,7 @@ class SequencedBroadcast {
     std::vector<Command> batch;
     std::set<int> acks;  // replica indices that ACCEPTED (leader only)
     bool committed = false;
+    std::uint64_t sent_ns = 0;  // leader: when its ACCEPT last went out
   };
 
   int leader_of(std::uint64_t v) const {
@@ -191,6 +195,10 @@ class SequencedBroadcast {
   // retained_slots cap.
   void prune_locked() PSMR_REQUIRES(mu_);
   void broadcast_to_replicas_locked(const MessagePtr& m) PSMR_REQUIRES(mu_);
+  // Leader: sends the oldest uncommitted slot's ACCEPT again, to the
+  // replicas that have not acknowledged it, once it has waited a heartbeat
+  // interval.
+  void resend_stalled_accept_locked(std::uint64_t now) PSMR_REQUIRES(mu_);
   void start_view_change_locked(std::uint64_t target_view)
       PSMR_REQUIRES(mu_);
   void process_view_change_locked(int from_index, const ViewChangeMsg& vc)

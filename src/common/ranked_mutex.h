@@ -3,7 +3,7 @@
 // Every mutex in the codebase carries a compile-time *rank*; a thread may
 // only acquire a mutex whose rank is strictly greater than the highest rank
 // it already holds (equal ranks are allowed only for mutex families that
-// opt into hand-over-hand coupling, where list/segment order is the
+// opt into hand-over-hand coupling, where list order is the
 // intra-rank tiebreak and is validated by TSan's lock-order graph instead).
 // A violation means the acquisition could participate in a deadlock cycle,
 // and the checked build aborts immediately with both ranks printed — no
@@ -60,10 +60,10 @@ inline constexpr int kSmrClient = 100;       // SmrClient::mu_
 inline constexpr int kReplicaClients = 120;  // Replica::clients_mu_
 inline constexpr int kBroadcast = 200;       // SequencedBroadcast::mu_
 inline constexpr int kTransport = 300;       // TcpTransport/SimNetwork mu_
+inline constexpr int kSimLink = 320;         // SimNetwork outgoing links
 inline constexpr int kSimInbox = 350;        // SimNetwork endpoint inboxes
 inline constexpr int kQueue = 400;           // BlockingQueue::mu_
 inline constexpr int kCosMonitor = 500;      // CoarseGrainedCos::mu_
-inline constexpr int kCosSegment = 520;      // StripedCos segment locks
 inline constexpr int kCosIndex = 540;        // FineGrainedCos::index_mu_
 inline constexpr int kCosNode = 560;         // FineGrainedCos node locks
 inline constexpr int kSemaphore = 700;       // Semaphore::mu_ (COS blocking)

@@ -617,6 +617,27 @@ TEST(Broadcast, PartitionedFollowerCapsLogAtRetainedSlotsUntilItCatchesUp) {
   }
 }
 
+TEST(Broadcast, LeaderResendsTheAcceptOfAStalledSlot) {
+  // Both follower links are cut while slot 1's ACCEPTs are in flight, so
+  // they are dropped at delivery. Slot 2, proposed after the links heal,
+  // commits, but gap-free delivery waits for slot 1, which commits only
+  // if the leader sends its ACCEPT again.
+  BroadcastHarness h(3, fast_net(), fast_broadcast());
+  for (int follower : {1, 2}) {
+    h.net().set_link(h.engine_endpoint(0), h.engine_endpoint(follower), false);
+  }
+  ASSERT_TRUE(h.engine(0).submit({cmd(1)}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int follower : {1, 2}) {
+    h.net().set_link(h.engine_endpoint(0), h.engine_endpoint(follower), true);
+  }
+  ASSERT_TRUE(h.engine(0).submit({cmd(2)}));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(h.wait_delivered(i, 2)) << "replica " << i;
+    EXPECT_EQ(h.delivered(i)[0].first, 1u) << "replica " << i;
+  }
+}
+
 TEST(Broadcast, StableBeyondOwnWatermarkFiresGapHandler) {
   // Every replica has delivered slot 5, yet this one has delivered nothing:
   // it is a restarted incarnation. Slot 5 is only 5 slots ahead, well

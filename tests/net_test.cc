@@ -235,16 +235,18 @@ TEST(SimNetwork, ShutdownIsIdempotentAndStopsDelivery) {
 }
 
 TEST(SimNetwork, EarlierDeadlineIsNotHeldBehindQueueHead) {
-  // Latencies are drawn from [0, 100 ms). With seed 8 the first message is
-  // due at ~82 ms and the earliest of the rest at ~3 ms. All go to one
-  // receiver, each from its own sender so that no per-link FIFO stamp holds
-  // a message behind the first. The first is sent alone so the receiver's
-  // dispatcher goes to sleep until its deadline; the later sends with
-  // earlier deadlines become the new inbox head and must wake it.
+  // Latencies are drawn from [0, 100 ms), each sender from its own stream.
+  // With seed 24 the first message (sender id 1) draws 96.20 ms and the
+  // earliest of the rest (sender id 21) draws 0.47 ms, so it is due about
+  // 10.5 ms after the first send. All go to one receiver, each from its own
+  // sender so that no per-link FIFO stamp holds a message behind the first.
+  // The first is sent alone so the receiver's dispatcher goes to sleep until
+  // its deadline; the later sends with earlier deadlines become the new
+  // inbox head and must wake it.
   SimNetwork::Config config;
   config.base_latency_us = 0;
   config.jitter_us = 100'000;
-  config.seed = 8;
+  config.seed = 24;
   constexpr std::size_t kLinks = 32;
   std::mutex mu;
   std::vector<std::uint64_t> arrivals;
@@ -348,6 +350,123 @@ TEST(SimNetwork, CrashAndRemoveDoNotWaitForAFarDeadline) {
     EXPECT_EQ(net.in_flight(), 0u) << name;
     EXPECT_EQ(count.load(), 0) << name;
   }
+}
+
+TEST(SimNetwork, CrashAndRemoveRacingSendsLeaveNothingBehind) {
+  // Threads send on every link to and from b and c while crash(b) and
+  // remove_endpoint(c) run. Every link touches b or c, so once both calls
+  // return nothing may stay queued or stamped, however the sends raced the
+  // purge, and neither handler may start again. A handler that passed its
+  // delivery check just before crash() may still finish, so b's count is
+  // read after a grace period.
+  SimNetwork::Config config;
+  config.base_latency_us = 50;
+  config.jitter_us = 20;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    SimNetwork net(config);
+    std::atomic<int> at_b{0};
+    std::atomic<int> at_c{0};
+    const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+    const NodeId b =
+        net.add_endpoint([&](NodeId, MessagePtr) { at_b.fetch_add(1); });
+    const NodeId c =
+        net.add_endpoint([&](NodeId, MessagePtr) { at_c.fetch_add(1); });
+    const NodeId d = net.add_endpoint([](NodeId, MessagePtr) {});
+    const std::vector<std::vector<std::pair<NodeId, NodeId>>> links = {
+        {{a, b}, {b, a}, {b, c}},
+        {{a, c}, {c, a}, {c, b}},
+        {{d, b}, {b, d}, {d, c}, {c, d}},
+    };
+    std::atomic<bool> stop{false};
+    std::atomic<int> sent{0};
+    std::vector<std::thread> threads;
+    for (const auto& mine : links) {
+      threads.emplace_back([&, mine] {
+        while (!stop.load()) {
+          for (const auto& [from, to] : mine) {
+            net.send(from, to, make_message<IntMsg>(0));
+          }
+          sent.fetch_add(1);
+        }
+      });
+    }
+    while (sent.load() < 100) std::this_thread::yield();
+    net.crash(b);
+    net.remove_endpoint(c);
+    const int c_calls = at_c.load();
+    EXPECT_EQ(net.in_flight(), 0u) << "round " << round;
+    EXPECT_EQ(net.link_state_entries(), 0u) << "round " << round;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int b_calls = at_b.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop = true;
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(net.in_flight(), 0u) << "round " << round;
+    EXPECT_EQ(net.link_state_entries(), 0u) << "round " << round;
+    EXPECT_EQ(at_b.load(), b_calls) << "round " << round;
+    EXPECT_EQ(at_c.load(), c_calls) << "round " << round;
+  }
+}
+
+TEST(SimNetwork, DrawsArePerSenderAndReproducible) {
+  // Jitter spans ~2.8 hours, so nothing is delivered during the test and
+  // the queued delivery times, less the time of the first send, are the
+  // drawn latencies up to the few milliseconds the sends take. One quarter
+  // of the messages are dropped, so the drop draws must line up too.
+  SimNetwork::Config config;
+  config.base_latency_us = 0;
+  config.jitter_us = 10'000'000'000;
+  config.drop_rate = 0.25;
+  config.seed = 3;
+  constexpr int kPerSender = 50;
+  constexpr std::uint64_t kTolerance = 1'000'000'000;  // 1 s
+  struct Latencies {
+    std::vector<std::uint64_t> from_a;
+    std::vector<std::uint64_t> from_b;
+  };
+  // Endpoint ids: receiver 0, a 1, b 2 on every network.
+  const auto run = [&](bool a_sends) {
+    SimNetwork net(config);
+    const NodeId receiver = net.add_endpoint([](NodeId, MessagePtr) {});
+    const NodeId a = net.add_endpoint([](NodeId, MessagePtr) {});
+    const NodeId b = net.add_endpoint([](NodeId, MessagePtr) {});
+    const std::uint64_t start = now_ns();
+    for (int i = 0; i < kPerSender; ++i) {
+      if (a_sends) net.send(a, receiver, make_message<IntMsg>(i));
+      net.send(b, receiver, make_message<IntMsg>(i));
+    }
+    Latencies latencies{net.queued_deadlines(a, receiver),
+                        net.queued_deadlines(b, receiver)};
+    for (auto* list : {&latencies.from_a, &latencies.from_b}) {
+      for (std::uint64_t& at : *list) at -= start;
+    }
+    return latencies;
+  };
+  const auto expect_close = [&](const std::vector<std::uint64_t>& x,
+                                const std::vector<std::uint64_t>& y,
+                                const char* what) {
+    ASSERT_EQ(x.size(), y.size()) << what;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint64_t gap = x[i] > y[i] ? x[i] - y[i] : y[i] - x[i];
+      EXPECT_LT(gap, kTolerance) << what << " message " << i;
+    }
+  };
+  const Latencies first = run(true);
+  const Latencies second = run(true);
+  const Latencies b_alone = run(false);
+  // Drops happen, but not to everything.
+  EXPECT_GT(first.from_a.size(), kPerSender / 2u);
+  EXPECT_LT(first.from_a.size(), std::size_t{kPerSender});
+  expect_close(first.from_a, second.from_a, "a, same sequence");
+  expect_close(first.from_b, second.from_b, "b, same sequence");
+  EXPECT_TRUE(b_alone.from_a.empty());
+  expect_close(first.from_b, b_alone.from_b, "b, without a's traffic");
+  // a and b draw from different streams.
+  ASSERT_FALSE(first.from_b.empty());
+  const std::uint64_t a0 = first.from_a.front();
+  const std::uint64_t b0 = first.from_b.front();
+  EXPECT_GT(a0 > b0 ? a0 - b0 : b0 - a0, kTolerance);
 }
 
 TEST(SimNetwork, ManySendersStress) {

@@ -18,11 +18,9 @@ namespace psmr {
 namespace {
 
 constexpr char kDefaultNodeClasses[] =
-    "psmr::LockFreeCos::Node;psmr::FineGrainedCos::Node;"
-    "psmr::StripedCos::Node;psmr::StripedCos::Segment";
+    "psmr::LockFreeCos::Node;psmr::FineGrainedCos::Node";
 constexpr char kDefaultAllowed[] =
-    "src/cos/lock_free.cc;src/cos/fine_grained.cc;src/cos/striped.cc;"
-    "src/memory/";
+    "src/cos/lock_free.cc;src/cos/fine_grained.cc;src/memory/";
 
 // Qualified name of the record behind `T`, or empty when `T` is not a
 // (possibly sugared) record type.
