@@ -92,9 +92,8 @@ int main(int argc, char** argv) {
   for (std::size_t batch : sizes) {
     const double kops = run_batched(batch, 4, ms);
     std::printf("%12zu %16.1f\n", batch, kops);
-    psmr::bench::csv_row("ablation_batch", "real", "lock-free",
-                         static_cast<double>(batch), kops);
+    psmr::bench::record_row("ablation_batch", "real", "lock-free",
+                            static_cast<double>(batch), kops);
   }
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

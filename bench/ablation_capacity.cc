@@ -43,12 +43,11 @@ int main(int argc, char** argv) {
       std::printf(" %18.1f", result.throughput_kops);
       const std::string series =
           std::string("capacity/") + psmr::cos_kind_name(kind);
-      psmr::bench::csv_row("ablation_capacity", "real", series.c_str(),
-                           static_cast<double>(capacity),
-                           result.throughput_kops);
+      psmr::bench::record_row("ablation_capacity", "real", series.c_str(),
+                              static_cast<double>(capacity),
+                              result.throughput_kops);
     }
     std::printf("\n");
   }
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

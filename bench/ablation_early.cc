@@ -39,7 +39,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "cos/class_map.h"
-#include "cos/early_sched.h"
 #include "cos/factory.h"
 
 namespace {
@@ -49,14 +48,15 @@ using psmr::Command;
 using psmr::Cos;
 using psmr::CosHandle;
 using psmr::CosKind;
+using psmr::SchedulerPolicy;
 
 constexpr int kWorkers = 8;
 constexpr std::uint64_t kAccounts = 64;
 constexpr std::size_t kBatch = 256;
-// Large windows so neither insert path blocks on capacity — the sweep
-// isolates per-command insert cost, not drain speed.
-constexpr std::size_t kDagCapacity = 4096;
-constexpr std::size_t kRingCapacity = 4096;
+// A large window (the DAG's capacity, and so each worker ring's) so neither
+// insert path blocks on capacity — the sweep isolates per-command insert
+// cost, not drain speed.
+constexpr std::size_t kCapacity = 4096;
 
 // `cross_pct` percent cross-class transfers (account classes differ mod
 // kWorkers), rest Zipf(0.99)-skewed single-account deposits.
@@ -91,13 +91,12 @@ struct RunResult {
 
 RunResult run_one(bool early, const std::vector<Command>& commands) {
   BankService bank(kAccounts, 1'000'000);
-  std::unique_ptr<Cos> cos = psmr::make_cos({.kind = CosKind::kLockFree,
-                                             .capacity = kDagCapacity,
-                                             .conflict = bank.conflict()});
-  if (early) {
-    cos = std::make_unique<psmr::EarlyCos>(std::move(cos), bank.class_map(),
-                                           kWorkers, kRingCapacity);
-  }
+  const std::unique_ptr<Cos> cos = psmr::make_scheduler(
+      early ? SchedulerPolicy::kEarlyScheduling : SchedulerPolicy::kCosDag,
+      {.kind = CosKind::kLockFree,
+       .capacity = kCapacity,
+       .conflict = bank.conflict()},
+      bank.class_map(), kWorkers);
 
   std::vector<std::thread> pool;
   pool.reserve(kWorkers);
@@ -166,23 +165,22 @@ int main(int argc, char** argv) {
     std::printf("%9.1f %14.2f %14.2f %12.1f %12.1f %8.2fx\n", cross,
                 early.insert_mops, dag.insert_mops, early.total_kops,
                 dag.total_kops, speedup);
-    psmr::bench::csv_row("ablation_early", "real", "insert/early", cross,
-                         early.insert_mops);
-    psmr::bench::csv_row("ablation_early", "real", "insert/cos-dag", cross,
-                         dag.insert_mops);
-    psmr::bench::csv_row("ablation_early", "real", "total/early", cross,
-                         early.total_kops);
-    psmr::bench::csv_row("ablation_early", "real", "total/cos-dag", cross,
-                         dag.total_kops);
-    psmr::bench::csv_row("ablation_early", "real", "population/early", cross,
-                         early.mean_population);
-    psmr::bench::csv_row("ablation_early", "real", "population/cos-dag",
-                         cross, dag.mean_population);
-    psmr::bench::csv_row("ablation_early", "real", "speedup/early-vs-dag",
-                         cross, speedup);
+    psmr::bench::record_row("ablation_early", "real", "insert/early", cross,
+                            early.insert_mops);
+    psmr::bench::record_row("ablation_early", "real", "insert/cos-dag", cross,
+                            dag.insert_mops);
+    psmr::bench::record_row("ablation_early", "real", "total/early", cross,
+                            early.total_kops);
+    psmr::bench::record_row("ablation_early", "real", "total/cos-dag", cross,
+                            dag.total_kops);
+    psmr::bench::record_row("ablation_early", "real", "population/early", cross,
+                            early.mean_population);
+    psmr::bench::record_row("ablation_early", "real", "population/cos-dag",
+                            cross, dag.mean_population);
+    psmr::bench::record_row("ablation_early", "real", "speedup/early-vs-dag",
+                            cross, speedup);
   }
 
-  psmr::bench::csv_flush();
   if (!psmr::bench::json_flush(options)) return 1;
   const int regressions =
       psmr::bench::run_compare("ablation_early", options, /*band=*/0.35);

@@ -1,16 +1,15 @@
 // Shared helpers for the figure-reproduction harnesses.
 //
-// Every harness prints (a) a human-readable table and (b) machine-readable
-// CSV rows of the form
-//     CSV,<figure>,<mode>,<series>,<x>,<y>[,extra...]
-// so the series can be plotted directly against the paper's figures.
+// Every harness prints a human-readable table and records each data point
+// with record_row(); --json writes the recorded rows for plotting against
+// the paper's figures and for baseline comparison.
 //
 // Flags (all optional; unknown flags are an error, exit code 2):
 //   --mode=real|sim|both   real threads on this host, the calibrated DES
 //                          model of the paper's 64-core replicas, or both
 //                          (default: both)
 //   --quick                trim sweeps for a fast smoke run
-//   --json=<path>          also write the rows as JSON: an object mapping
+//   --json=<path>          write the recorded rows as JSON: an object mapping
 //                          the figure name to an array of
 //                          {figure,mode,series,x,y[,extra]} rows — the
 //                          format of the committed BENCH_*.json baselines
@@ -64,8 +63,8 @@ inline void print_header(const char* figure, const char* description,
   std::printf("\n=== %s (%s) — %s ===\n", figure, mode, description);
 }
 
-// One structured data point; everything csv_row records also lands here so
-// it can be emitted as JSON and compared against baselines.
+// One structured data point, as record_row() stores it for json_flush()
+// and run_compare().
 struct Row {
   std::string figure;
   std::string mode;
@@ -81,38 +80,14 @@ inline std::vector<Row>& row_buffer() {
   return buffer;
 }
 
-// CSV rows are buffered and printed as one block by csv_flush() so they do
-// not interleave with the human-readable tables.
-inline std::vector<std::string>& csv_buffer() {
-  static std::vector<std::string> buffer;
-  return buffer;
-}
-
-inline void csv_row(const char* figure, const char* mode, const char* series,
-                    double x, double y) {
-  char line[256];
-  std::snprintf(line, sizeof(line), "CSV,%s,%s,%s,%g,%.3f", figure, mode,
-                series, x, y);
-  csv_buffer().emplace_back(line);
+inline void record_row(const char* figure, const char* mode,
+                       const char* series, double x, double y) {
   row_buffer().push_back(Row{figure, mode, series, x, y, false, 0.0});
 }
 
-inline void csv_row(const char* figure, const char* mode, const char* series,
-                    double x, double y, double extra) {
-  char line[256];
-  std::snprintf(line, sizeof(line), "CSV,%s,%s,%s,%g,%.3f,%.3f", figure,
-                mode, series, x, y, extra);
-  csv_buffer().emplace_back(line);
+inline void record_row(const char* figure, const char* mode,
+                       const char* series, double x, double y, double extra) {
   row_buffer().push_back(Row{figure, mode, series, x, y, true, extra});
-}
-
-inline void csv_flush() {
-  if (csv_buffer().empty()) return;
-  std::printf("\n--- machine-readable series ---\n");
-  for (const std::string& line : csv_buffer()) {
-    std::printf("%s\n", line.c_str());
-  }
-  csv_buffer().clear();
 }
 
 // ---------------------------------------------------------------------------

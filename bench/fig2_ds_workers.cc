@@ -50,9 +50,8 @@ void run_real(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig2", "real", series.c_str(), w,
-                             result.throughput_kops,
-                             result.mean_population);
+        psmr::bench::record_row("fig2", "real", series.c_str(), w,
+                                result.throughput_kops, result.mean_population);
       }
       std::printf("\n");
     }
@@ -81,9 +80,8 @@ void run_sim(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig2", "sim", series.c_str(), w,
-                             result.throughput_kops,
-                             result.mean_population);
+        psmr::bench::record_row("fig2", "sim", series.c_str(), w,
+                                result.throughput_kops, result.mean_population);
       }
       std::printf("\n");
     }
@@ -98,6 +96,5 @@ int main(int argc, char** argv) {
               "number of workers (0%% writes)\n");
   if (options.run_real) run_real(options);
   if (options.run_sim) run_sim(options);
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

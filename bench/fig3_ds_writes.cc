@@ -96,8 +96,8 @@ void run_real(const psmr::bench::Options& options) {
         const std::string series =
             std::string(psmr::cos_kind_name(kKinds[k])) + "/" +
             psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig3", "real", series.c_str(), pct,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig3", "real", series.c_str(), pct,
+                                result.throughput_kops);
       }
       std::printf("\n");
     }
@@ -129,8 +129,8 @@ void run_sim(const psmr::bench::Options& options) {
         std::printf(" %19.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig3", "sim", series.c_str(), pct,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig3", "sim", series.c_str(), pct,
+                                result.throughput_kops);
       }
       std::printf("\n");
     }
@@ -145,6 +145,5 @@ int main(int argc, char** argv) {
               "and execution costs\n");
   if (options.run_real) run_real(options);
   if (options.run_sim) run_sim(options);
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

@@ -45,8 +45,8 @@ void run_real(const psmr::bench::Options& options) {
                 seq_result.throughput_kops);
     const std::string seq_series =
         std::string("sequential/") + psmr::exec_cost_name(cost);
-    psmr::bench::csv_row("fig4", "real", seq_series.c_str(), 1,
-                         seq_result.throughput_kops);
+    psmr::bench::record_row("fig4", "real", seq_series.c_str(), 1,
+                            seq_result.throughput_kops);
 
     std::printf("%8s %18s %18s %18s\n", "workers", "coarse-grained",
                 "fine-grained", "lock-free");
@@ -66,8 +66,8 @@ void run_real(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig4", "real", series.c_str(), w,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig4", "real", series.c_str(), w,
+                                result.throughput_kops);
         if (kind == CosKind::kLockFree) {
           lock_free_points.emplace_back(w, result.throughput_kops);
         }
@@ -81,8 +81,8 @@ void run_real(const psmr::bench::Options& options) {
       for (const auto& [w, kops] : lock_free_points) {
         const std::string series =
             std::string("speedup/lock-free/") + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig4", "real", series.c_str(), w,
-                             kops / seq_result.throughput_kops);
+        psmr::bench::record_row("fig4", "real", series.c_str(), w,
+                                kops / seq_result.throughput_kops);
       }
     }
   }
@@ -109,8 +109,8 @@ void run_sim(const psmr::bench::Options& options) {
                 seq_result.throughput_kops);
     const std::string seq_series =
         std::string("sequential/") + psmr::exec_cost_name(cost);
-    psmr::bench::csv_row("fig4", "sim", seq_series.c_str(), 1,
-                         seq_result.throughput_kops);
+    psmr::bench::record_row("fig4", "sim", seq_series.c_str(), 1,
+                            seq_result.throughput_kops);
 
     std::printf("%8s %18s %18s %18s\n", "workers", "coarse-grained",
                 "fine-grained", "lock-free");
@@ -128,8 +128,8 @@ void run_sim(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig4", "sim", series.c_str(), w,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig4", "sim", series.c_str(), w,
+                                result.throughput_kops);
       }
       std::printf("\n");
     }
@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
               "number of workers (0%% writes)\n");
   if (options.run_real) run_real(options);
   if (options.run_sim) run_sim(options);
-  psmr::bench::csv_flush();
   if (!psmr::bench::json_flush(options)) return 1;
   // Gate the end-to-end SMR ratios against the committed BENCH_smr.json
   // baseline (per-point minimum over repeated runs).

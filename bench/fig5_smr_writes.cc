@@ -70,8 +70,8 @@ void run_real(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig5", "real", series.c_str(), pct,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig5", "real", series.c_str(), pct,
+                                result.throughput_kops);
       }
       psmr::SmrDriverConfig sequential;
       sequential.policy = psmr::SchedulerPolicy::kSequential;
@@ -85,8 +85,8 @@ void run_real(const psmr::bench::Options& options) {
       std::printf(" %18.1f\n", seq_result.throughput_kops);
       const std::string seq_series =
           std::string("sequential/") + psmr::exec_cost_name(cost);
-      psmr::bench::csv_row("fig5", "real", seq_series.c_str(), pct,
-                           seq_result.throughput_kops);
+      psmr::bench::record_row("fig5", "real", seq_series.c_str(), pct,
+                              seq_result.throughput_kops);
     }
   }
 }
@@ -115,8 +115,8 @@ void run_sim(const psmr::bench::Options& options) {
         std::printf(" %18.1f", result.throughput_kops);
         const std::string series = std::string(psmr::cos_kind_name(kind)) +
                                    "/" + psmr::exec_cost_name(cost);
-        psmr::bench::csv_row("fig5", "sim", series.c_str(), pct,
-                             result.throughput_kops);
+        psmr::bench::record_row("fig5", "sim", series.c_str(), pct,
+                                result.throughput_kops);
       }
       psmr::sim::SimConfig sequential;
       sequential.smr_mode = true;
@@ -129,8 +129,8 @@ void run_sim(const psmr::bench::Options& options) {
       std::printf(" %18.1f\n", seq_result.throughput_kops);
       const std::string seq_series =
           std::string("sequential/") + psmr::exec_cost_name(cost);
-      psmr::bench::csv_row("fig5", "sim", seq_series.c_str(), pct,
-                           seq_result.throughput_kops);
+      psmr::bench::record_row("fig5", "sim", seq_series.c_str(), pct,
+                              seq_result.throughput_kops);
     }
   }
 }
@@ -143,6 +143,5 @@ int main(int argc, char** argv) {
               "writes and execution costs\n");
   if (options.run_real) run_real(options);
   if (options.run_sim) run_sim(options);
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

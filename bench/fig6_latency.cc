@@ -64,9 +64,9 @@ void run_real(const psmr::bench::Options& options, double write_pct) {
                   result.p95_latency_ms);
       const std::string series = std::string(system.name) + "/wr" +
                                  std::to_string(static_cast<int>(write_pct));
-      psmr::bench::csv_row("fig6", "real", series.c_str(),
-                           result.throughput_kops, result.mean_latency_ms,
-                           result.p95_latency_ms);
+      psmr::bench::record_row("fig6", "real", series.c_str(),
+                              result.throughput_kops, result.mean_latency_ms,
+                              result.p95_latency_ms);
     }
   }
 }
@@ -99,9 +99,9 @@ void run_sim(const psmr::bench::Options& options, double write_pct) {
                   result.p95_latency_ms);
       const std::string series = std::string(system.name) + "/wr" +
                                  std::to_string(static_cast<int>(write_pct));
-      psmr::bench::csv_row("fig6", "sim", series.c_str(),
-                           result.throughput_kops, result.mean_latency_ms,
-                           result.p95_latency_ms);
+      psmr::bench::record_row("fig6", "sim", series.c_str(),
+                              result.throughput_kops, result.mean_latency_ms,
+                              result.p95_latency_ms);
     }
   }
 }
@@ -115,6 +115,5 @@ int main(int argc, char** argv) {
     if (options.run_real) run_real(options, write_pct);
     if (options.run_sim) run_sim(options, write_pct);
   }
-  psmr::bench::csv_flush();
-  return 0;
+  return psmr::bench::json_flush(options) ? 0 : 1;
 }

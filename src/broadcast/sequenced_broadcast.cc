@@ -327,10 +327,7 @@ void SequencedBroadcast::maybe_report_gap_locked(int from_index,
 void SequencedBroadcast::report_gap_locked(int from_index) {
   if (!on_gap_) return;
   const std::uint64_t now = now_ns();
-  if (now - last_gap_report_ns_ <
-      config_.gap_report_interval_ms * 1'000'000ull) {
-    return;
-  }
+  if (now - last_gap_report_ns_ < kGapReportIntervalNs) return;
   last_gap_report_ns_ = now;
   metrics_.gap_reports.inc();
   on_gap_(replicas_[static_cast<std::size_t>(from_index)], last_delivered_);

@@ -90,7 +90,6 @@ class SequencedBroadcast {
     // replica is not delivering (otherwise slots go once stable). A replica
     // that falls further behind than this needs state transfer (see on_gap).
     std::uint64_t retained_slots = 1024;
-    std::uint64_t gap_report_interval_ms = 200;
   };
 
   // `deliver` receives each committed batch exactly once, in sequence
@@ -99,13 +98,14 @@ class SequencedBroadcast {
   using DeliverFn = std::function<void(std::uint64_t seq,
                                        const std::vector<Command>& batch)>;
 
-  // Invoked (throttled) when a peer's traffic shows this replica lags
-  // beyond the retention window, or reports a stable slot this replica has
-  // not delivered (a restarted incarnation), so ordinary delivery can no
-  // longer catch it up; `peer` is a replica that has the missing history and
-  // `our_delivered` is this replica's delivery watermark. The SMR layer
-  // reacts with a state-transfer request. NOTE: invoked with the engine's
-  // internal mutex held — the handler must not call back into this engine.
+  // Invoked (at most every 200 ms) when a peer's traffic shows this
+  // replica lags beyond the retention window, or reports a stable slot this
+  // replica has not delivered (a restarted incarnation), so ordinary
+  // delivery can no longer catch it up; `peer` is a replica that has the
+  // missing history and `our_delivered` is this replica's delivery
+  // watermark. The SMR layer reacts with a state-transfer request. NOTE:
+  // invoked with the engine's internal mutex held — the handler must not
+  // call back into this engine.
   using GapFn = std::function<void(NodeId peer, std::uint64_t our_delivered)>;
 
   SequencedBroadcast(Transport& net, NodeId self, int index,
@@ -246,6 +246,8 @@ class SequencedBroadcast {
   // Single-deliverer guard for try_deliver_locked.
   bool delivering_ PSMR_GUARDED_BY(mu_) = false;
 
+  // The gap handler fires at most once per kGapReportIntervalNs.
+  static constexpr std::uint64_t kGapReportIntervalNs = 200'000'000;
   std::uint64_t last_gap_report_ns_ PSMR_GUARDED_BY(mu_) = 0;
 
   // View-change state.

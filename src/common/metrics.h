@@ -41,6 +41,7 @@
 
 #include "common/histogram.h"
 #include "common/padded.h"
+#include "common/stopwatch.h"
 
 #ifndef PSMR_METRICS_ENABLED
 #define PSMR_METRICS_ENABLED 1
@@ -49,6 +50,13 @@
 namespace psmr {
 
 inline constexpr bool kMetricsEnabled = PSMR_METRICS_ENABLED != 0;
+
+// now_ns() for timings that only feed metrics; 0 when metrics are compiled
+// out, so a timed body is written once and the OFF build reads no clock.
+inline std::uint64_t metrics_now_ns() {
+  if constexpr (kMetricsEnabled) return now_ns();
+  return 0;
+}
 
 // Point-in-time copy of every registered metric. Concurrent increments make
 // the snapshot approximate (each counter is summed shard by shard), but a

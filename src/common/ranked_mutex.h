@@ -67,7 +67,6 @@ inline constexpr int kCosMonitor = 500;      // CoarseGrainedCos::mu_
 inline constexpr int kCosIndex = 540;        // FineGrainedCos::index_mu_
 inline constexpr int kCosNode = 560;         // FineGrainedCos node locks
 inline constexpr int kSemaphore = 700;       // Semaphore::mu_ (COS blocking)
-inline constexpr int kReclaim = 800;         // EBR limbo lists
 
 // Per-thread multiset of held ranks. Sized for the deepest legal chain
 // (client -> broadcast -> transport -> queue is four; hand-over-hand holds

@@ -34,7 +34,6 @@
 
 #include "common/metrics.h"
 #include "common/ranked_mutex.h"
-#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 
 namespace psmr {
@@ -133,11 +132,9 @@ class Semaphore {
     bool parked = false;
     std::uint64_t t0 = 0;
     while (!take(s, n) && (s & kClosed) == 0) {
-      if constexpr (kMetricsEnabled) {
-        if (!parked && blocks_metric_ != nullptr) {
-          blocks_metric_->inc();
-          t0 = now_ns();
-        }
+      if (!parked && blocks_metric_ != nullptr) {
+        blocks_metric_->inc();
+        t0 = metrics_now_ns();
       }
       parked = true;
       cv_.wait(mu_);
@@ -145,10 +142,8 @@ class Semaphore {
     }
     if (n > 1) --multi_waiters_;
     waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    if constexpr (kMetricsEnabled) {
-      if (parked && blocks_metric_ != nullptr) {
-        blocked_ns_metric_->inc(now_ns() - t0);
-      }
+    if (parked && blocks_metric_ != nullptr) {
+      blocked_ns_metric_->inc(metrics_now_ns() - t0);
     }
     return (s & kClosed) == 0;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stopwatch.h"
 #include "cos/cos_metrics.h"
 
 namespace psmr {
@@ -14,45 +13,45 @@ CoarseGrainedCos::CoarseGrainedCos(std::size_t max_size, ConflictFn conflict)
 
 CoarseGrainedCos::~CoarseGrainedCos() { close(); }
 
-bool CoarseGrainedCos::insert(const Command& c) {
-  MutexLock lock(mu_);
-  if constexpr (kMetricsEnabled) {
+// One monitor section per command, as in Alg. 2's insert.
+bool CoarseGrainedCos::insert_batch(std::span<const Command> batch) {
+  for (const Command& c : batch) {
+    MutexLock lock(mu_);
     if (nodes_.size() >= max_size_ && !closed_) {
       cos_metrics().insert_blocks.inc();
-      const std::uint64_t t0 = now_ns();
+      const std::uint64_t t0 = metrics_now_ns();
       while (nodes_.size() >= max_size_ && !closed_) not_full_.wait(mu_);
-      cos_metrics().insert_block_ns.inc(now_ns() - t0);
+      cos_metrics().insert_block_ns.inc(metrics_now_ns() - t0);
     }
-  }
-  while (nodes_.size() >= max_size_ && !closed_) not_full_.wait(mu_);
-  if (closed_) return false;
-  cos_metrics().inserts.inc();
+    if (closed_) return false;
+    cos_metrics().inserts.inc();
 
-  nodes_.emplace_back(c);
-  auto it = std::prev(nodes_.end());
-  it->self = it;
-  Node& added = *it;
+    nodes_.emplace_back(c);
+    auto it = std::prev(nodes_.end());
+    it->self = it;
+    Node& added = *it;
 
-  // Alg. 2 lines 14-16: every older conflicting command must run first.
-  // Found by O(k) index probes instead of the scan over nodes_. remove()
-  // prunes entries eagerly under mu_, so every entry is live; the stamp
-  // de-duplicates nodes that share several keys with c.
-  const KeyedAccess acc = extract_(c);
-  const std::uint64_t stamp = ++probe_seq_;
-  index_.for_each_conflicting(
-      acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
-        Node* node = static_cast<Node*>(e.node);
-        if (node->probe_stamp != stamp) {
-          node->probe_stamp = stamp;
-          node->out.push_back(&added);
-          ++added.pending_in;
-        }
-        return true;
-      });
-  index_.add(acc.keys, acc.write, &added);
-  if (added.pending_in == 0) {
-    cos_metrics().ready_enq.inc();
-    has_ready_.notify_one();
+    // Alg. 2 lines 14-16: every older conflicting command must run first.
+    // Found by O(k) index probes instead of the scan over nodes_. remove()
+    // prunes entries eagerly under mu_, so every entry is live; the stamp
+    // de-duplicates nodes that share several keys with c.
+    const KeyedAccess acc = extract_(c);
+    const std::uint64_t stamp = ++probe_seq_;
+    index_.for_each_conflicting(
+        acc.keys, acc.write, [&](const KeyIndex::Entry& e) {
+          Node* node = static_cast<Node*>(e.node);
+          if (node->probe_stamp != stamp) {
+            node->probe_stamp = stamp;
+            node->out.push_back(&added);
+            ++added.pending_in;
+          }
+          return true;
+        });
+    index_.add(acc.keys, acc.write, &added);
+    if (added.pending_in == 0) {
+      cos_metrics().ready_enq.inc();
+      has_ready_.notify_one();
+    }
   }
   return true;
 }
@@ -67,19 +66,15 @@ CosHandle CoarseGrainedCos::get() {
     for (Node& node : nodes_) {
       if (!node.executing && node.pending_in == 0) {
         node.executing = true;
-        if constexpr (kMetricsEnabled) {
-          if (blocked) cos_metrics().get_block_ns.inc(now_ns() - t0);
-        }
+        if (blocked) cos_metrics().get_block_ns.inc(metrics_now_ns() - t0);
         cos_metrics().gets.inc();
         return {&node.cmd, &node};
       }
     }
-    if constexpr (kMetricsEnabled) {
-      if (!blocked) {
-        blocked = true;
-        t0 = now_ns();
-        cos_metrics().get_blocks.inc();
-      }
+    if (!blocked) {
+      blocked = true;
+      t0 = metrics_now_ns();
+      cos_metrics().get_blocks.inc();
     }
     has_ready_.wait(mu_);
   }

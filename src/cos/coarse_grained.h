@@ -32,7 +32,7 @@ class CoarseGrainedCos final : public Cos {
   CoarseGrainedCos(std::size_t max_size, ConflictFn conflict);
   ~CoarseGrainedCos() override;
 
-  bool insert(const Command& c) override;
+  bool insert_batch(std::span<const Command> batch) override;
   CosHandle get() override;
   void remove(CosHandle h) override;
   void close() override;

@@ -39,22 +39,17 @@ class Cos {
  public:
   virtual ~Cos() = default;
 
-  // Single-threaded (scheduler only). Blocks while the structure is full.
-  // Returns false iff the structure was closed.
-  virtual bool insert(const Command& c) = 0;
+  // Single-threaded (scheduler only). Inserts a batch in delivery order,
+  // with the same result as inserting its commands one by one;
+  // implementations may amortize per-call costs across the batch (the
+  // lock-free DAG takes the batch's space permits in one semaphore
+  // acquisition — the insert thread is its throughput ceiling, §7.3.1).
+  // Blocks while the structure is full. Returns false iff the structure was
+  // closed mid-batch.
+  virtual bool insert_batch(std::span<const Command> batch) = 0;
 
-  // Inserts a batch in order. Semantically identical to calling insert()
-  // per command; implementations may amortize per-call costs across the
-  // batch (the lock-free DAG takes the batch's space permits in one
-  // semaphore acquisition — the insert thread is its throughput ceiling,
-  // §7.3.1).
-  // Returns false iff the structure was closed mid-batch.
-  virtual bool insert_batch(std::span<const Command> batch) {
-    for (const Command& c : batch) {
-      if (!insert(c)) return false;
-    }
-    return true;
-  }
+  // insert_batch() of the one command `c`.
+  bool insert(const Command& c) { return insert_batch({&c, 1}); }
 
   // Multi-threaded (workers). Blocks until a dependency-free command is
   // available. Returns a null handle iff the structure was closed.

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "common/stopwatch.h"
 #include "cos/cos_metrics.h"
 
 namespace psmr {
@@ -16,8 +15,7 @@ std::uint64_t next_instance_id() {
 }
 }  // namespace
 
-EarlyCos::EarlyCos(std::unique_ptr<Cos> fallback, ClassMapFn map, int workers,
-                   std::size_t queue_capacity)
+EarlyCos::EarlyCos(std::unique_ptr<Cos> fallback, ClassMapFn map, int workers)
     : dag_(std::move(fallback)),
       map_(map),
       id_(next_instance_id()),
@@ -29,7 +27,7 @@ EarlyCos::EarlyCos(std::unique_ptr<Cos> fallback, ClassMapFn map, int workers,
   const std::size_t n = workers > 0 ? static_cast<std::size_t>(workers) : 1;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(queue_capacity));
+    workers_.push_back(std::make_unique<Worker>(dag_->capacity()));
   }
 }
 
@@ -60,13 +58,12 @@ bool EarlyCos::push_item(Worker& w, const Item& item) {
   if (!w.ring.try_push(item)) {
     auto& m = cos_metrics();
     m.insert_blocks.inc();
-    std::uint64_t t0 = 0;
-    if constexpr (kMetricsEnabled) t0 = now_ns();
+    const std::uint64_t t0 = metrics_now_ns();
     while (!w.ring.try_push(item)) {
       if (closed_.load(std::memory_order_relaxed)) return false;  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
       std::this_thread::yield();
     }
-    if constexpr (kMetricsEnabled) m.insert_block_ns.inc(now_ns() - t0);
+    m.insert_block_ns.inc(metrics_now_ns() - t0);
   }
   w.items.release();
   return true;
@@ -78,13 +75,12 @@ bool EarlyCos::wait_phase_drained() {
   if (phase->executed.load(std::memory_order_acquire) < phase->count) {
     auto& m = cos_metrics();
     m.insert_blocks.inc();
-    std::uint64_t t0 = 0;
-    if constexpr (kMetricsEnabled) t0 = now_ns();
+    const std::uint64_t t0 = metrics_now_ns();
     while (phase->executed.load(std::memory_order_acquire) < phase->count) {
       if (closed_.load(std::memory_order_relaxed)) return false;  // NOLINT(psmr-relaxed-order-audit) control flag; re-checked in loop or fenced by joins/locks
       std::this_thread::yield();
     }
-    if constexpr (kMetricsEnabled) m.insert_block_ns.inc(now_ns() - t0);
+    m.insert_block_ns.inc(metrics_now_ns() - t0);
   }
   last_phase_.reset();
   return true;
@@ -137,11 +133,6 @@ bool EarlyCos::insert_one(const Command& c) {
   // no tokens out, and nobody could drain it.
   if (run_count_ >= dag_->capacity()) return close_run();
   return true;
-}
-
-bool EarlyCos::insert(const Command& c) {
-  if (!insert_one(c)) return false;
-  return close_run();
 }
 
 bool EarlyCos::insert_batch(std::span<const Command> batch) {

@@ -61,13 +61,11 @@ class EarlyCos final : public Cos {
  public:
   // `fallback` executes sync phases (any COS variant); `map` routes
   // commands (nullptr = everything sync, correct but all-barrier);
-  // `workers` is the exact number of consumer threads; `queue_capacity`
-  // is the per-worker ring size (rounded up to a power of two).
-  EarlyCos(std::unique_ptr<Cos> fallback, ClassMapFn map, int workers,
-           std::size_t queue_capacity = 256);
+  // `workers` is the exact number of consumer threads. Build it through
+  // make_scheduler (factory.h).
+  EarlyCos(std::unique_ptr<Cos> fallback, ClassMapFn map, int workers);
   ~EarlyCos() override;
 
-  bool insert(const Command& c) override;
   bool insert_batch(std::span<const Command> batch) override;
   CosHandle get() override;
   void remove(CosHandle h) override;
@@ -109,6 +107,9 @@ class EarlyCos final : public Cos {
 
   struct alignas(kCacheLineSize) Worker {
     explicit Worker(std::size_t capacity) : ring(capacity) {}
+    // Sized like the fallback DAG (its capacity, rounded up to a power of
+    // two): the window of commands the scheduler may run ahead of this
+    // worker is the same whichever path a command takes.
     SpscRing<Item> ring;
     Semaphore items;  // one permit per ring item
     // Consumer-thread scratch for the single outstanding handle.

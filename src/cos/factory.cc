@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "cos/coarse_grained.h"
+#include "cos/early_sched.h"
 #include "cos/fine_grained.h"
 #include "cos/lock_free.h"
 
@@ -23,6 +24,20 @@ std::unique_ptr<Cos> make_cos(const CosOptions& options) {
       return std::make_unique<LockFreeCos>(options.capacity, options.conflict);
   }
   std::abort();  // unreachable: the switch above is exhaustive over CosKind
+}
+
+std::unique_ptr<Cos> make_scheduler(SchedulerPolicy policy,
+                                    const CosOptions& options, ClassMapFn map,
+                                    int workers) {
+  switch (policy) {
+    case SchedulerPolicy::kSequential:
+      return nullptr;
+    case SchedulerPolicy::kCosDag:
+      return make_cos(options);
+    case SchedulerPolicy::kEarlyScheduling:
+      return std::make_unique<EarlyCos>(make_cos(options), map, workers);
+  }
+  std::abort();  // unreachable: the switch above is exhaustive
 }
 
 bool parse_cos_kind(std::string_view name, CosKind* out) {

@@ -1,12 +1,14 @@
 // Construction of COS implementations by name/enum — used by the drivers,
 // benchmarks and examples to sweep all techniques uniformly — plus the
 // scheduler-policy enum that selects how a replica turns delivery order
-// into execution order.
+// into execution order, and make_scheduler, which builds that policy's
+// scheduler.
 #pragma once
 
 #include <memory>
 #include <string_view>
 
+#include "cos/class_map.h"
 #include "cos/cos.h"
 
 namespace psmr {
@@ -44,6 +46,15 @@ struct CosOptions {
 };
 
 std::unique_ptr<Cos> make_cos(const CosOptions& options);
+
+// The scheduler that turns delivery order into execution order under
+// `policy`: nullptr for kSequential (the caller executes every command
+// itself), make_cos(options) for kCosDag, and for kEarlyScheduling that
+// DAG as the barrier fallback of an EarlyCos that routes by `map` to
+// `workers` per-worker rings, each sized like the DAG.
+std::unique_ptr<Cos> make_scheduler(SchedulerPolicy policy,
+                                    const CosOptions& options, ClassMapFn map,
+                                    int workers);
 
 // Parses "coarse-grained" / "fine-grained" / "lock-free" (also accepts the
 // short forms "coarse", "fine", "lockfree"). Returns false on unknown names.

@@ -30,6 +30,13 @@ FineGrainedCos::~FineGrainedCos() {
   }
 }
 
+bool FineGrainedCos::insert_batch(std::span<const Command> batch) {
+  for (const Command& c : batch) {
+    if (!insert_one(c)) return false;
+  }
+  return true;
+}
+
 // Insert (Alg. 4's insert, with dependencies found through the key index).
 // The paper's hand-over-hand scan is also a moving barrier: no remover can
 // overtake it, which is what makes "record edge, then link" safe there. The
@@ -54,7 +61,7 @@ FineGrainedCos::~FineGrainedCos() {
 // Deadlock-freedom: index_mu_ precedes all node locks (removers only take
 // it with no node locks held); node locks nest in list order only (a
 // candidate precedes the just-linked tail node).
-bool FineGrainedCos::insert(const Command& c) {
+bool FineGrainedCos::insert_one(const Command& c) {
   if (!space_.acquire()) return false;  // closed
   auto* added = new Node(c);
   added->executing = true;  // hidden until fully wired (no lock needed yet)

@@ -45,7 +45,7 @@ class FineGrainedCos final : public Cos {
   FineGrainedCos(std::size_t max_size, ConflictFn conflict);
   ~FineGrainedCos() override;
 
-  bool insert(const Command& c) override;
+  bool insert_batch(std::span<const Command> batch) override;
   CosHandle get() override;
   void remove(CosHandle h) override;
   void close() override;
@@ -88,6 +88,9 @@ class FineGrainedCos final : public Cos {
     std::unordered_set<Node*> out;  // later nodes depending on this one
     Node* next = nullptr;
   };
+
+  // One command of insert_batch: Alg. 4's insert (see fine_grained.cc).
+  bool insert_one(const Command& c);
 
   const std::size_t max_size_;
   const KeyExtractor extract_;

@@ -18,11 +18,6 @@ LockFreeCos::LockFreeCos(std::size_t max_size, ConflictFn conflict)
   space_.instrument(&cos_metrics().insert_blocks,
                     &cos_metrics().insert_block_ns);
   ready_.instrument(&cos_metrics().get_blocks, &cos_metrics().get_block_ns);
-  // Every retire into this domain comes from the insert thread: physical
-  // removal (helped_remove) and dep_me array replacement are confined to it
-  // (§6.2.1). Have the EBR domain abort in debug builds if that ever stops
-  // being true.
-  ebr_.debug_expect_single_remover();
 }
 
 LockFreeCos::~LockFreeCos() {
@@ -43,17 +38,6 @@ LockFreeCos::~LockFreeCos() {
 // ---------------------------------------------------------------------------
 // Blocking layer (Alg. 5).
 // ---------------------------------------------------------------------------
-
-bool LockFreeCos::insert(const Command& c) {
-  if (!space_.acquire()) return false;  // closed
-  const int ready_nodes = lf_insert(c);
-  cos_metrics().inserts.inc();
-  if (ready_nodes > 0) {
-    cos_metrics().ready_enq.inc(static_cast<std::uint64_t>(ready_nodes));
-  }
-  ready_.release(ready_nodes);
-  return true;
-}
 
 bool LockFreeCos::insert_batch(std::span<const Command> batch) {
   // Chunk by capacity so the space acquisition can always complete.

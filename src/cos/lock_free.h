@@ -59,7 +59,6 @@ class LockFreeCos final : public Cos {
   LockFreeCos(std::size_t max_size, ConflictFn conflict);
   ~LockFreeCos() override;
 
-  bool insert(const Command& c) override;
   bool insert_batch(std::span<const Command> batch) override;
   CosHandle get() override;
   void remove(CosHandle h) override;
@@ -146,6 +145,9 @@ class LockFreeCos final : public Cos {
   std::atomic<std::size_t> population_{0};
   std::atomic<bool> closed_{false};
 
+  // Every retire comes from the insert thread: physical removal
+  // (helped_remove) and dep_me array replacement are confined to it
+  // (§6.2.1), which is the domain's single-retirer contract.
   EbrDomain ebr_;
   std::vector<Node*> scratch_deps_;  // insert-probe scratch: inserter only
 };

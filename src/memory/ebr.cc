@@ -85,35 +85,27 @@ EbrDomain::Guard EbrDomain::pin() {
 
 void EbrDomain::retire_raw(void* ptr, void (*deleter)(void*)) {
 #if PSMR_MEMORY_DEBUG
-  if (single_remover_.load(std::memory_order_relaxed)) {
-    // Sticky first-retirer identity: the first retire claims the slot, any
-    // retire from a different thread afterwards is an invariant violation.
-    const std::uintptr_t tid = this_thread_token();
-    std::uintptr_t expected = 0;
-    if (!debug_retirer_.compare_exchange_strong(expected, tid,
-                                                std::memory_order_relaxed) &&
-        expected != tid) {
-      std::fprintf(stderr,
-                   "EbrDomain: single-remover invariant violated — retire "
-                   "from a second thread (first=%#zx this=%#zx)\n",
-                   static_cast<std::size_t>(expected),
-                   static_cast<std::size_t>(tid));
-      std::abort();
-    }
+  // Sticky first-retirer identity: the first retire claims the domain, any
+  // retire from a different thread afterwards is an invariant violation.
+  const std::uintptr_t tid = this_thread_token();
+  std::uintptr_t expected = 0;
+  if (!debug_retirer_.compare_exchange_strong(expected, tid,
+                                              std::memory_order_relaxed) &&
+      expected != tid) {
+    std::fprintf(stderr,
+                 "EbrDomain: single-remover invariant violated — retire "
+                 "from a second thread (first=%#zx this=%#zx)\n",
+                 static_cast<std::size_t>(expected),
+                 static_cast<std::size_t>(tid));
+    std::abort();
   }
 #endif
-  ThreadRec* rec = rec_for_current_thread();
-  const std::uint64_t e = global_epoch_.value.load(std::memory_order_seq_cst);
-  std::size_t limbo_size;
-  {
-    MutexLock lock(rec->limbo_mu);
-    rec->limbo.push_back({ptr, deleter, e});
-    limbo_size = rec->limbo.size();
-  }
+  limbo_.push_back(
+      {ptr, deleter, global_epoch_.value.load(std::memory_order_seq_cst)});
   // Amortize advancement attempts.
-  if (limbo_size % 64 == 0) {
+  if (limbo_.size() % 64 == 0) {
     try_advance();
-    reclaim(*rec);
+    reclaim();
   }
 }
 
@@ -130,57 +122,36 @@ bool EbrDomain::try_advance() {
   return true;
 }
 
-std::size_t EbrDomain::reclaim(ThreadRec& rec) {
+std::size_t EbrDomain::reclaim() {
   const std::uint64_t e = global_epoch_.value.load(std::memory_order_seq_cst);
   std::size_t freed = 0;
-  MutexLock lock(rec.limbo_mu);
-  auto& limbo = rec.limbo;
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < limbo.size(); ++i) {
+  for (std::size_t i = 0; i < limbo_.size(); ++i) {
     // A node retired in epoch r was unreachable before any thread could pin
     // epoch r+1; once the global epoch is r+2, every thread pinned at r or
     // earlier has unpinned, so the node is free to go.
-    if (limbo[i].epoch + 2 <= e) {
-      limbo[i].deleter(limbo[i].ptr);
+    if (limbo_[i].epoch + 2 <= e) {
+      limbo_[i].deleter(limbo_[i].ptr);
       ++freed;
     } else {
-      limbo[keep++] = limbo[i];
+      limbo_[keep++] = limbo_[i];
     }
   }
-  limbo.resize(keep);
+  limbo_.resize(keep);
   total_freed_.value.fetch_add(freed, std::memory_order_relaxed);
   return freed;
 }
 
 std::size_t EbrDomain::flush() {
-  ThreadRec* rec = rec_for_current_thread();
   try_advance();
   try_advance();
-  return reclaim(*rec);
+  return reclaim();
 }
 
 void EbrDomain::drain_all_unsafe() {
-  const std::size_t hw = high_water_.load(std::memory_order_acquire);
-  std::size_t freed = 0;
-  for (std::size_t i = 0; i < hw; ++i) {
-    MutexLock lock(recs_[i].limbo_mu);
-    for (const auto& retired : recs_[i].limbo) {
-      retired.deleter(retired.ptr);
-      ++freed;
-    }
-    recs_[i].limbo.clear();
-  }
-  total_freed_.value.fetch_add(freed, std::memory_order_relaxed);
-}
-
-std::size_t EbrDomain::retired_pending() const {
-  const std::size_t hw = high_water_.load(std::memory_order_acquire);
-  std::size_t pending = 0;
-  for (std::size_t i = 0; i < hw; ++i) {
-    MutexLock lock(recs_[i].limbo_mu);
-    pending += recs_[i].limbo.size();
-  }
-  return pending;
+  for (const Retired& retired : limbo_) retired.deleter(retired.ptr);
+  total_freed_.value.fetch_add(limbo_.size(), std::memory_order_relaxed);
+  limbo_.clear();
 }
 
 }  // namespace psmr

@@ -15,10 +15,13 @@
 //    domain id, makes the lookup O(1) and bounded however many domains a
 //    thread pins over its life; on a miss the thread finds its own slot by
 //    owner token before it claims a new one.
-//  - Retired nodes go on the retiring thread's private limbo list; no
-//    synchronization on the retire path except the epoch reads.
+//  - One thread retires: the lock-free COS confines physical removal to
+//    its insert thread (§6.2.1). Retired nodes go on the domain's one limbo
+//    list, which only that thread touches, so the retire path takes no
+//    lock. PSMR_MEMORY_DEBUG builds abort on a retire from a second thread.
 //  - Epoch advancement is attempted opportunistically on retire and can be
-//    forced with flush() (used by destructors and tests).
+//    forced with flush(), which the retiring thread may call at any time
+//    and any thread once the domain is quiescent (no pins, no retires).
 //  - Memory orders are seq_cst on the pin/advance handshake, per the C++
 //    Core Guidelines' advice to prefer the sequentially consistent model in
 //    hand-written lock-free code; the cost is negligible next to the graph
@@ -34,8 +37,6 @@
 
 #include "common/debug_poison.h"
 #include "common/padded.h"
-#include "common/ranked_mutex.h"
-#include "common/thread_annotations.h"
 
 namespace psmr {
 
@@ -78,7 +79,8 @@ class EbrDomain {
   Guard pin();
 
   // Defers destruction of `node` until no pinned thread can reference it.
-  // Must be called after `node` became unreachable from the shared structure.
+  // Must be called after `node` became unreachable from the shared structure,
+  // and always from the same thread (the domain's one retirer).
   template <typename T>
   void retire(T* node) {
 #if PSMR_MEMORY_DEBUG
@@ -101,20 +103,12 @@ class EbrDomain {
 
   void retire_raw(void* ptr, void (*deleter)(void*));
 
-  // Debug invariant: every retire in this domain comes from one thread.
-  // The lock-free COS relies on this (physical removal is confined to the
-  // insert thread, §6.2.1); opting in records the first retirer's identity
-  // and aborts if a different thread ever retires. No-op unless
-  // PSMR_MEMORY_DEBUG.
-  void debug_expect_single_remover() {
-    single_remover_.store(true, std::memory_order_relaxed);
-  }
-
   // Tries to advance the epoch and reclaim everything reclaimable from the
-  // calling thread's limbo list. Returns the number of objects freed.
+  // limbo list. Returns the number of objects freed. Only the retirer may
+  // call it, or any thread once the domain is quiescent.
   std::size_t flush();
 
-  // Drains every limbo list in the domain. Caller must guarantee no thread
+  // Frees everything in the limbo list. Caller must guarantee no thread
   // is pinned and no further retires happen. Called by the destructor;
   // exposed for tests.
   void drain_all_unsafe();
@@ -123,8 +117,9 @@ class EbrDomain {
     return global_epoch_.value.load(std::memory_order_seq_cst);
   }
 
-  // Statistics (approximate; for tests).
-  std::size_t retired_pending() const;
+  // Statistics (for tests). retired_pending() reads the limbo list, so the
+  // same callers as flush().
+  std::size_t retired_pending() const { return limbo_.size(); }
   std::uint64_t total_freed() const {
     return total_freed_.value.load(std::memory_order_relaxed);
   }
@@ -139,26 +134,22 @@ class EbrDomain {
   struct ThreadRec {
     Padded<std::atomic<std::uint64_t>> epoch;  // kIdle when not pinned
     std::atomic<std::uintptr_t> owner{0};  // registering thread's token
-    // kReclaim is the innermost rank: retire() may run under COS node or
-    // segment locks, and the deleters it invokes take no locks at all.
-    RankedMutex<lock_rank::kReclaim> limbo_mu;
-    std::vector<Retired> limbo PSMR_GUARDED_BY(limbo_mu);
     ThreadRec() { epoch.value.store(kIdle, std::memory_order_relaxed); }
   };
 
   ThreadRec* rec_for_current_thread();
   bool try_advance();
-  std::size_t reclaim(ThreadRec& rec);
+  std::size_t reclaim();
 
   const std::uint64_t id_;
   Padded<std::atomic<std::uint64_t>> global_epoch_;
   std::unique_ptr<ThreadRec[]> recs_;
   std::atomic<std::size_t> high_water_{0};  // number of slots ever used
   Padded<std::atomic<std::uint64_t>> total_freed_;
+  std::vector<Retired> limbo_;  // NOLINT(psmr-guarded-by-coverage) retiring thread only (or any thread once quiescent)
 
-  // Single-remover debug check (see debug_expect_single_remover). The
-  // retirer identity is the same thread token that owns a slot.
-  std::atomic<bool> single_remover_{false};
+  // PSMR_MEMORY_DEBUG's single-retirer check: the first retirer's thread
+  // token (the same token that owns a slot).
   std::atomic<std::uintptr_t> debug_retirer_{0};
 };
 

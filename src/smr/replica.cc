@@ -5,8 +5,6 @@
 #include <thread>
 
 #include "codec/codec.h"
-#include "common/stopwatch.h"
-#include "cos/early_sched.h"
 
 namespace psmr {
 
@@ -27,17 +25,10 @@ Replica::Replica(Transport& net, int index, std::unique_ptr<Service> service,
                MetricsRegistry::global().histogram("scheduler.batch_size")} {
   endpoint_ = net_.add_endpoint(
       [this](NodeId from, MessagePtr m) { handle_message(from, std::move(m)); });
-  if (config_.policy != SchedulerPolicy::kSequential) {
-    CosOptions cos_options = config_.cos;
-    cos_options.conflict = service_->conflict();
-    auto dag = make_cos(cos_options);
-    if (config_.policy == SchedulerPolicy::kEarlyScheduling) {
-      cos_ = std::make_unique<EarlyCos>(std::move(dag), service_->class_map(),
-                                        config_.workers, cos_options.capacity);
-    } else {
-      cos_ = std::move(dag);
-    }
-  }
+  CosOptions cos_options = config_.cos;
+  cos_options.conflict = service_->conflict();
+  cos_ = make_scheduler(config_.policy, cos_options, service_->class_map(),
+                        config_.workers);
 }
 
 // All delivery-path hand-offs to the scheduler queue go through here: a
@@ -93,7 +84,7 @@ void Replica::start() {
   if (running_.exchange(true)) return;
   broadcast_.load(std::memory_order_acquire)->start();
   scheduler_ = std::thread([this] { scheduler_loop(); });
-  if (config_.policy != SchedulerPolicy::kSequential) {
+  if (cos_ != nullptr) {
     for (int w = 0; w < config_.workers; ++w) {
       workers_.emplace_back([this] { worker_loop(); });
     }
@@ -212,7 +203,7 @@ void Replica::scheduler_loop() {
       }
     }
     scheduled_count_ += fresh.size();
-    if (config_.policy == SchedulerPolicy::kSequential) {
+    if (cos_ == nullptr) {  // sequential policy
       for (const Command& c : fresh) execute_and_reply(c);
     } else if (!fresh.empty()) {
       if (!cos_->insert_batch(fresh)) return;  // closed
@@ -247,21 +238,14 @@ bool Replica::ClientState::admit(std::uint64_t seq) {
 
 void Replica::worker_loop() {
   while (true) {
-    if constexpr (kMetricsEnabled) {
-      const std::uint64_t t0 = now_ns();
-      CosHandle h = cos_->get();
-      if (!h) return;  // closed
-      const std::uint64_t t1 = now_ns();
-      metrics_.worker_stall_ns.inc(t1 - t0);
-      execute_and_reply(*h.cmd);
-      metrics_.worker_exec_ns.inc(now_ns() - t1);
-      cos_->remove(h);
-    } else {
-      CosHandle h = cos_->get();
-      if (!h) return;  // closed
-      execute_and_reply(*h.cmd);
-      cos_->remove(h);
-    }
+    const std::uint64_t t0 = metrics_now_ns();
+    CosHandle h = cos_->get();
+    if (!h) return;  // closed
+    const std::uint64_t t1 = metrics_now_ns();
+    metrics_.worker_stall_ns.inc(t1 - t0);
+    execute_and_reply(*h.cmd);
+    metrics_.worker_exec_ns.inc(metrics_now_ns() - t1);
+    cos_->remove(h);
   }
 }
 

@@ -157,7 +157,8 @@ class Replica {
   std::atomic<SequencedBroadcast*> broadcast_{nullptr};
   BlockingQueue<Delivery> delivered_;
 
-  std::unique_ptr<Cos> cos_;  // NOLINT(psmr-guarded-by-coverage) created in connect() before worker threads start
+  // nullptr under the sequential policy: the scheduler executes commands.
+  std::unique_ptr<Cos> cos_;  // NOLINT(psmr-guarded-by-coverage) created in the constructor, before any thread starts
   std::thread scheduler_;
   std::vector<std::thread> workers_;  // NOLINT(psmr-guarded-by-coverage) created/joined by the owner thread only
   std::atomic<bool> running_{false};

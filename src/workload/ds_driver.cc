@@ -6,7 +6,6 @@
 
 #include "common/padded.h"
 #include "common/stopwatch.h"
-#include "cos/early_sched.h"
 #include "workload/generator.h"
 
 namespace psmr {
@@ -16,14 +15,16 @@ DsDriverResult run_ds_benchmark(const DsDriverConfig& config) {
   LinkedListService service(list_size);
   CosOptions cos_options = config.cos;
   cos_options.conflict = service.conflict();
-  std::unique_ptr<Cos> cos = make_cos(cos_options);
-  if (config.policy == SchedulerPolicy::kEarlyScheduling) {
-    cos = std::make_unique<EarlyCos>(std::move(cos), service.class_map(),
-                                     config.workers, cos_options.capacity);
-  }
+  const std::unique_ptr<Cos> cos = make_scheduler(
+      config.policy == SchedulerPolicy::kSequential ? SchedulerPolicy::kCosDag
+                                                    : config.policy,
+      cos_options, service.class_map(), config.workers);
 
-  auto commands = make_list_workload(config.precreated_commands,
-                                     config.write_pct, list_size, config.seed);
+  // The scheduler cycles through these, so the paper's command creation
+  // cost stays off the insert path.
+  constexpr std::size_t kPrecreatedCommands = 1 << 16;
+  auto commands = make_list_workload(kPrecreatedCommands, config.write_pct,
+                                     list_size, config.seed);
 
   std::atomic<bool> stop{false};
   std::vector<Padded<std::atomic<std::uint64_t>>> completed(

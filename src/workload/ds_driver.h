@@ -31,7 +31,6 @@ struct DsDriverConfig {
   std::uint64_t warmup_ms = 100;
   std::uint64_t measure_ms = 500;
   std::uint64_t seed = 42;
-  std::size_t precreated_commands = 1 << 16;
 };
 
 struct DsDriverResult {

@@ -15,15 +15,14 @@ SmrDriverResult run_smr_benchmark(const SmrDriverConfig& config) {
 
   Deployment::Config deployment_config;
   deployment_config.replicas = config.replicas;
-  deployment_config.net.base_latency_us = config.net_latency_us;
-  deployment_config.net.jitter_us = config.net_jitter_us;
+  deployment_config.net.base_latency_us = 30;
+  deployment_config.net.jitter_us = 20;
   deployment_config.net.seed = config.seed;
   deployment_config.replica.policy = config.policy;
   deployment_config.replica.cos = config.cos;
   deployment_config.replica.workers = config.workers;
-  deployment_config.replica.broadcast.batch_max = config.batch_max;
-  deployment_config.replica.broadcast.batch_timeout_us =
-      config.batch_timeout_us;
+  deployment_config.replica.broadcast.batch_max = 64;
+  deployment_config.replica.broadcast.batch_timeout_us = 200;
   deployment_config.replica.broadcast.tick_interval_ms = 1;
 
   Deployment deployment(deployment_config, [&] {

@@ -1,9 +1,10 @@
 // SMR benchmark driver — the paper's §7.4 harness.
 //
-// Deploys 3 replicas + closed-loop clients over the simulated network, runs
-// the linked-list workload for a warmup + measurement window, and reports
-// server-side throughput (completed client commands) and client-side
-// latency, as in the paper's Figs. 4-6.
+// Deploys 3 replicas + closed-loop clients over the simulated network (a
+// fast LAN: 30 us latency, 20 us jitter; batches close at 64 commands or
+// 200 us), runs the linked-list workload for a warmup + measurement window,
+// and reports server-side throughput (completed client commands) and
+// client-side latency, as in the paper's Figs. 4-6.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +28,6 @@ struct SmrDriverConfig {
   std::uint64_t warmup_ms = 300;
   std::uint64_t measure_ms = 700;
   std::uint64_t seed = 42;
-  // Network / ordering knobs (defaults approximate a fast LAN).
-  std::uint64_t net_latency_us = 30;
-  std::uint64_t net_jitter_us = 20;
-  std::size_t batch_max = 64;
-  std::uint64_t batch_timeout_us = 200;
 };
 
 struct SmrDriverResult {

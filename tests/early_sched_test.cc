@@ -5,7 +5,8 @@
 // the soundness contract they promise the scheduler.
 //
 // Part 2 covers the factory surface: name round-trips for every CosKind and
-// SchedulerPolicy value (including aliases).
+// SchedulerPolicy value (including aliases), and what make_scheduler builds
+// for each policy.
 //
 // Part 3 is the equivalence proof the tentpole rests on: for randomized
 // Zipf KV, bank (with cross-class transfers) and linked-list workloads, the
@@ -176,6 +177,37 @@ TEST(Factory, SchedulerPolicyNamesRoundTrip) {
   EXPECT_FALSE(parse_scheduler_policy("eager", &parsed));
 }
 
+TEST(Factory, MakeSchedulerBuildsEachPolicy) {
+  KvService service(16);
+  constexpr int kWorkers = 3;
+  for (CosKind kind : {CosKind::kCoarseGrained, CosKind::kFineGrained,
+                       CosKind::kLockFree}) {
+    // A power of two, so the rings sized to the DAG hold exactly as much.
+    const CosOptions options{
+        .kind = kind, .capacity = 128, .conflict = service.conflict()};
+    EXPECT_EQ(make_scheduler(SchedulerPolicy::kSequential, options,
+                             service.class_map(), kWorkers),
+              nullptr);
+
+    const auto dag = make_scheduler(SchedulerPolicy::kCosDag, options,
+                                    service.class_map(), kWorkers);
+    ASSERT_NE(dag, nullptr);
+    EXPECT_STREQ(dag->name(), cos_kind_name(kind));
+    EXPECT_EQ(dag->capacity(), 128u);
+
+    const auto early = make_scheduler(SchedulerPolicy::kEarlyScheduling,
+                                      options, service.class_map(), kWorkers);
+    ASSERT_NE(early, nullptr);
+    EXPECT_STREQ(early->name(), "early-scheduling");
+    const auto* early_cos = dynamic_cast<const EarlyCos*>(early.get());
+    ASSERT_NE(early_cos, nullptr);
+    EXPECT_STREQ(early_cos->fallback().name(), cos_kind_name(kind));
+    EXPECT_EQ(early_cos->fallback().capacity(), 128u);
+    // One ring per worker, each as large as the DAG.
+    EXPECT_EQ(early->capacity(), (kWorkers + 1) * 128u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Part 3: early-scheduling vs COS-DAG digest equivalence.
 // ---------------------------------------------------------------------------
@@ -217,11 +249,11 @@ std::uint64_t dag_digest(std::unique_ptr<Service> service,
 
 std::uint64_t early_digest(std::unique_ptr<Service> service,
                            const std::vector<Command>& commands, int workers) {
-  auto dag = make_cos({.kind = CosKind::kLockFree,
-                       .capacity = kPaperGraphSize,
-                       .conflict = service->conflict()});
-  auto early = std::make_unique<EarlyCos>(std::move(dag), service->class_map(),
-                                          workers, /*queue_capacity=*/128);
+  auto early = make_scheduler(SchedulerPolicy::kEarlyScheduling,
+                              {.kind = CosKind::kLockFree,
+                               .capacity = kPaperGraphSize,
+                               .conflict = service->conflict()},
+                              service->class_map(), workers);
   return run_and_digest(*service, std::move(early), commands, workers);
 }
 
@@ -258,11 +290,11 @@ TEST(EarlyEquivalence, BankWithCrossClassTransfersMatchesDagDigest) {
       std::make_unique<BankService>(kAccounts, kInitial), commands, 4);
 
   BankService bank(kAccounts, kInitial);
-  auto dag = make_cos({.kind = CosKind::kLockFree,
-                       .capacity = kPaperGraphSize,
-                       .conflict = bank.conflict()});
-  auto early = std::make_unique<EarlyCos>(std::move(dag), bank.class_map(), 4,
-                                          /*queue_capacity=*/128);
+  auto early = make_scheduler(SchedulerPolicy::kEarlyScheduling,
+                              {.kind = CosKind::kLockFree,
+                               .capacity = kPaperGraphSize,
+                               .conflict = bank.conflict()},
+                              bank.class_map(), 4);
   EXPECT_EQ(run_and_digest(bank, std::move(early), commands, 4), reference);
   // Transfers only move money; conservation is the cross-command invariant
   // a lost update or ordering violation would break.
@@ -291,11 +323,11 @@ TEST(EarlySched, AllSyncViaNullMapStillCorrect) {
       dag_digest(std::make_unique<KvService>(16), commands, 2);
 
   auto service = std::make_unique<KvService>(16);
-  auto dag = make_cos({.kind = CosKind::kLockFree,
-                       .capacity = kPaperGraphSize,
-                       .conflict = service->conflict()});
-  auto early =
-      std::make_unique<EarlyCos>(std::move(dag), nullptr, 2, 128);
+  auto early = make_scheduler(SchedulerPolicy::kEarlyScheduling,
+                              {.kind = CosKind::kLockFree,
+                               .capacity = kPaperGraphSize,
+                               .conflict = service->conflict()},
+                              nullptr, 2);
   EXPECT_EQ(run_and_digest(*service, std::move(early), commands, 2),
             reference);
 }

@@ -147,7 +147,6 @@ TEST(DebugPoisonTest, WritesAlternatingDeadPattern) {
 
 TEST(EbrSingleRemoverTest, SameThreadRetiresPass) {
   EbrDomain dom;
-  dom.debug_expect_single_remover();
   for (int i = 0; i < 10; ++i) dom.retire(new int(i));
   dom.flush();
 }
@@ -157,7 +156,6 @@ TEST(EbrSingleRemoverDeathTest, SecondThreadRetireAborts) {
   ASSERT_DEATH(
       {
         EbrDomain dom;
-        dom.debug_expect_single_remover();
         dom.retire(new int(1));
         std::thread second([&] { dom.retire(new int(2)); });
         second.join();

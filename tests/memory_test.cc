@@ -103,22 +103,46 @@ TEST(Ebr, RetiredPendingReflectsLimbo) {
 }
 
 TEST(Ebr, ManyThreadsRetireAndReadConcurrently) {
+  // The domain's contract: one retirer, any number of readers. Four readers
+  // pin, read the published object and unpin in a loop, while this thread
+  // replaces and retires it 8000 times. A reader must never see a freed
+  // object (the sanitizers catch the access, and memory-debug builds poison
+  // the payload), and everything is freed by the end.
+  constexpr int kObjects = 8000;
   std::atomic<int> alive{0};
   {
     EbrDomain domain;
-    std::vector<std::thread> threads;
+    std::atomic<Tracked*> current{new Tracked(alive)};
+    std::vector<std::thread> readers;
     for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < 2000; ++i) {
-          {
-            auto guard = domain.pin();
+      readers.emplace_back([&] {
+        while (true) {
+          auto guard = domain.pin();
+          const Tracked* seen = current.load();
+          if (seen == nullptr) return;  // the retirer is done
+          // Hold the object for a while, as a traversal would; volatile
+          // keeps every read (a freed, poisoned payload is negative).
+          int bits = 0;
+          for (int k = 0; k < 64; ++k) {
+            bits |= static_cast<const volatile int&>(seen->payload);
           }
-          domain.retire(new Tracked(alive));
+          EXPECT_GE(bits, 0);
         }
-        domain.flush();
       });
     }
-    for (auto& t : threads) t.join();
+    for (int i = 1; i <= kObjects; ++i) {
+      Tracked* next = nullptr;
+      if (i < kObjects) {
+        next = new Tracked(alive);
+        next->payload = i;
+      }
+      domain.retire(current.exchange(next));
+      domain.flush();  // reclaim as early as the readers' pins allow
+    }
+    for (auto& t : readers) t.join();
+    domain.flush();
+    EXPECT_EQ(alive.load(), 0);
+    EXPECT_EQ(domain.total_freed(), static_cast<std::uint64_t>(kObjects));
   }
   EXPECT_EQ(alive.load(), 0);
 }
@@ -155,10 +179,8 @@ TEST(Ebr, SequentialDomainsDoNotAliasRegistrations) {
 TEST(Ebr, ManyShortLivedDomainsLeaveOlderDomainWorking) {
   // One thread pins a long stream of domains while an older one stays
   // alive. The registration cache is bounded, so the older domain's entry
-  // is evicted along the way; the thread must then find its existing slot
-  // again rather than claim a second one. An object retired before the
-  // stream sits in that slot's limbo, so flush() from this thread frees it
-  // only if the thread came back to the same slot.
+  // is evicted along the way; the thread must then find its slot again,
+  // and its pin there must still hold back what the older domain retires.
   std::atomic<int> alive{0};
   EbrDomain old_domain;
   {
