@@ -81,19 +81,20 @@ double run_batched(std::size_t batch_size, int workers, std::uint64_t ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = psmr::bench::parse_options(argc, argv);
-  const std::uint64_t ms = options.quick ? 120 : 300;
+  const psmr::bench::Harness harness =
+      psmr::bench::start(argc, argv, "ablation_batch", /*has_sim=*/false);
+  const std::uint64_t ms = harness.options.quick ? 120 : 300;
   std::printf("Ablation — batched insertion, lock-free COS (light cost, "
               "0%% writes, 4 workers)\n");
   std::printf("%12s %16s\n", "batch size", "kops/sec");
   const std::vector<std::size_t> sizes =
-      options.quick ? std::vector<std::size_t>{1, 16}
-                    : std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 64};
+      harness.options.quick ? std::vector<std::size_t>{1, 16}
+                            : std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 64};
   for (std::size_t batch : sizes) {
     const double kops = run_batched(batch, 4, ms);
     std::printf("%12zu %16.1f\n", batch, kops);
     psmr::bench::record_row("ablation_batch", "real", "lock-free",
                             static_cast<double>(batch), kops);
   }
-  return psmr::bench::json_flush(options) ? 0 : 1;
+  return psmr::bench::finish(harness);
 }

@@ -141,14 +141,9 @@ RunResult run_one(bool early, const std::vector<Command>& commands) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const psmr::bench::Options options = psmr::bench::parse_options(argc, argv);
-  if (!options.run_real) {
-    std::printf("ablation_early has no simulator mode; run with "
-                "--mode=real\n");
-    return 0;
-  }
-
-  const std::size_t count = options.quick ? 50'000 : 200'000;
+  const psmr::bench::Harness harness =
+      psmr::bench::start(argc, argv, "ablation_early", /*has_sim=*/false);
+  const std::size_t count = harness.options.quick ? 50'000 : 200'000;
   const std::vector<double> sweep = {0.0, 1.0, 5.0, 10.0, 25.0, 50.0};
 
   psmr::bench::print_header(
@@ -181,8 +176,5 @@ int main(int argc, char** argv) {
                             cross, speedup);
   }
 
-  if (!psmr::bench::json_flush(options)) return 1;
-  const int regressions =
-      psmr::bench::run_compare("ablation_early", options, /*band=*/0.35);
-  return regressions == 0 ? 0 : 1;
+  return psmr::bench::finish(harness, /*band=*/0.35);
 }

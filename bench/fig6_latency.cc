@@ -5,23 +5,18 @@
 // Expected shape: all systems sit at similar, flat latency until they
 // approach saturation, then latency rises abruptly; the lock-free scheduler
 // saturates at the highest throughput.
-#include <cstdio>
-#include <string>
-#include <vector>
+#include <optional>
 
 #include "bench_util.h"
-#include "sim/cos_models.h"
-#include "workload/smr_driver.h"
+
+namespace bench = psmr::bench;
 
 namespace {
-
-using psmr::CosKind;
-using psmr::ExecCost;
 
 struct System {
   const char* name;
   bool sequential;
-  CosKind kind;
+  psmr::CosKind kind;
   int workers_real;
   int workers_sim;
 };
@@ -29,91 +24,43 @@ struct System {
 // Worker counts per system follow the paper's Fig. 6 configuration
 // (sequential, fine-grained 6, coarse-grained 12, lock-free 32).
 constexpr System kSystems[] = {
-    {"sequential", true, CosKind::kLockFree, 0, 0},
-    {"fine-grained", false, CosKind::kFineGrained, 4, 6},
-    {"coarse-grained", false, CosKind::kCoarseGrained, 4, 12},
-    {"lock-free", false, CosKind::kLockFree, 4, 32},
+    {"sequential", true, psmr::CosKind::kLockFree, 0, 0},
+    {"fine-grained", false, psmr::CosKind::kFineGrained, 4, 6},
+    {"coarse-grained", false, psmr::CosKind::kCoarseGrained, 4, 12},
+    {"lock-free", false, psmr::CosKind::kLockFree, 4, 32},
 };
 
-void run_real(const psmr::bench::Options& options, double write_pct) {
-  const auto clients = options.quick ? std::vector<int>{2, 16}
-                                     : std::vector<int>{1, 2, 4, 8, 16, 32};
-  psmr::bench::print_header(
-      "fig6", "latency vs throughput, moderate cost",
-      (std::string("real, ") + std::to_string(static_cast<int>(write_pct)) +
-       "% writes")
-          .c_str());
-  std::printf("%16s %8s %16s %14s %14s\n", "system", "clients",
-              "kops/sec", "mean ms", "p95 ms");
-  for (const System& system : kSystems) {
-    for (int c : clients) {
-      psmr::SmrDriverConfig config;
-      config.policy = system.sequential ? psmr::SchedulerPolicy::kSequential
-                                        : psmr::SchedulerPolicy::kCosDag;
-      config.cos.kind = system.kind;
-      config.workers = system.workers_real;
-      config.cost = ExecCost::kModerate;
-      config.write_pct = write_pct;
-      config.clients = c;
-      config.pipeline = 4;
-      config.warmup_ms = options.quick ? 100 : 150;
-      config.measure_ms = options.quick ? 150 : 400;
-      const auto result = psmr::run_smr_benchmark(config);
-      std::printf("%16s %8d %16.1f %14.2f %14.2f\n", system.name, c,
-                  result.throughput_kops, result.mean_latency_ms,
-                  result.p95_latency_ms);
-      const std::string series = std::string(system.name) + "/wr" +
-                                 std::to_string(static_cast<int>(write_pct));
-      psmr::bench::record_row("fig6", "real", series.c_str(),
-                              result.throughput_kops, result.mean_latency_ms,
-                              result.p95_latency_ms);
-    }
-  }
-}
-
-void run_sim(const psmr::bench::Options& options, double write_pct) {
-  const auto clients =
-      options.quick ? std::vector<int>{10, 100}
-                    : std::vector<int>{5, 10, 25, 50, 100, 150, 200, 300};
-  psmr::bench::print_header(
-      "fig6", "latency vs throughput, moderate cost",
-      (std::string("sim 64-core, ") +
-       std::to_string(static_cast<int>(write_pct)) + "% writes")
-          .c_str());
-  std::printf("%16s %8s %16s %14s %14s\n", "system", "clients",
-              "kops/sec", "mean ms", "p95 ms");
-  for (const System& system : kSystems) {
-    for (int c : clients) {
-      psmr::sim::SimConfig config;
-      config.smr_mode = true;
-      config.sequential = system.sequential;
-      config.kind = system.kind;
-      config.workers = system.workers_sim;
-      config.cost = ExecCost::kModerate;
-      config.write_pct = write_pct;
-      config.clients = c;
-      if (options.quick) config.measure_ns = 50'000'000;
-      const auto result = psmr::sim::simulate_cos(config);
-      std::printf("%16s %8d %16.1f %14.2f %14.2f\n", system.name, c,
-                  result.throughput_kops, result.mean_latency_ms,
-                  result.p95_latency_ms);
-      const std::string series = std::string(system.name) + "/wr" +
-                                 std::to_string(static_cast<int>(write_pct));
-      psmr::bench::record_row("fig6", "sim", series.c_str(),
-                              result.throughput_kops, result.mean_latency_ms,
-                              result.p95_latency_ms);
-    }
-  }
-}
+constexpr double kWritePcts[] = {5.0, 10.0};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = psmr::bench::parse_options(argc, argv);
-  std::printf("Figure 6 — latency versus throughput for moderate cost\n");
-  for (double write_pct : {5.0, 10.0}) {
-    if (options.run_real) run_real(options, write_pct);
-    if (options.run_sim) run_sim(options, write_pct);
-  }
-  return psmr::bench::json_flush(options) ? 0 : 1;
+  return bench::run_figure(
+      {.name = "fig6",
+       .title = "Figure 6 — latency versus throughput for moderate cost",
+       .description = "latency vs throughput, moderate cost (kops/sec @ mean "
+                      "latency)",
+       .driver = bench::Driver::kSmr,
+       .yield = bench::Yield::kLatency,
+       .windows = {100, 150, 150, 400},
+       .x_label = "clients",
+       .panels = {{"5% writes", "/wr5"}, {"10% writes", "/wr10"}},
+       .series = {kSystems[0].name, kSystems[1].name, kSystems[2].name,
+                  kSystems[3].name},
+       .real_x = {{2, 16}, {1, 2, 4, 8, 16, 32}},
+       .sim_x = {{10, 100}, {5, 10, 25, 50, 100, 150, 200, 300}},
+       .point = [](bench::Mode mode, std::size_t panel, std::size_t s,
+                   double x) -> std::optional<bench::Point> {
+         const System& system = kSystems[s];
+         return bench::Point{
+             .kind = system.kind,
+             .sequential = system.sequential,
+             .cost = psmr::ExecCost::kModerate,
+             .workers = mode == bench::Mode::kReal ? system.workers_real
+                                                   : system.workers_sim,
+             .write_pct = kWritePcts[panel],
+             .clients = static_cast<int>(x)};
+       },
+       .series_major = true},
+      argc, argv);
 }

@@ -31,8 +31,10 @@
 namespace psmr {
 namespace {
 
-// Grabs an ephemeral loopback port. The bind/close/rebind race is
-// theoretical on a loopback-only test box.
+// Grabs an ephemeral loopback port. The port is free only until the probe
+// socket closes: before TcpTransport binds it, another socket's connect()
+// can take it as its ephemeral source port, and the bind then fails with
+// EADDRINUSE. TcpFabric rebuilds on fresh ports when that happens.
 int pick_free_port() {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -86,7 +88,32 @@ class SimFabric final : public Fabric {
 
 class TcpFabric final : public Fabric {
  public:
-  explicit TcpFabric(std::vector<Transport::Handler> handlers) {
+  // A node whose port was taken between pick_free_port() and its bind
+  // fails add_endpoint(); the fabric then shuts down what it built and
+  // starts over on fresh ports. Only the last attempt must succeed.
+  explicit TcpFabric(const std::vector<Transport::Handler>& handlers) {
+    constexpr int kAttempts = 5;
+    bool built = build(handlers);
+    for (int attempt = 1; !built && attempt < kAttempts; ++attempt) {
+      shutdown_all();
+      built = build(handlers);
+    }
+    EXPECT_TRUE(built) << "no free set of ports after " << kAttempts
+                       << " attempts";
+  }
+  ~TcpFabric() override { shutdown_all(); }
+  Transport& node(NodeId id) override {
+    return *nodes_[static_cast<std::size_t>(id)];
+  }
+  void kill(NodeId id) override {
+    nodes_[static_cast<std::size_t>(id)]->shutdown();
+  }
+
+ private:
+  // Builds one node per handler on fresh ports; false if any node could
+  // not bind its port.
+  bool build(const std::vector<Transport::Handler>& handlers) {
+    nodes_.clear();
     const int n = static_cast<int>(handlers.size());
     std::map<NodeId, std::string> addresses;
     for (int i = 0; i < n; ++i) {
@@ -100,22 +127,18 @@ class TcpFabric final : public Fabric {
       config.reconnect_initial_ms = 5;
       config.reconnect_max_ms = 100;
       nodes_.push_back(std::make_unique<TcpTransport>(config));
-      EXPECT_EQ(nodes_.back()->add_endpoint(std::move(handlers[
-                    static_cast<std::size_t>(i)])),
-                i);
+      if (nodes_.back()->add_endpoint(
+              handlers[static_cast<std::size_t>(i)]) != i) {
+        return false;
+      }
     }
-  }
-  ~TcpFabric() override {
-    for (auto& node : nodes_) node->shutdown();
-  }
-  Transport& node(NodeId id) override {
-    return *nodes_[static_cast<std::size_t>(id)];
-  }
-  void kill(NodeId id) override {
-    nodes_[static_cast<std::size_t>(id)]->shutdown();
+    return true;
   }
 
- private:
+  void shutdown_all() {
+    for (auto& node : nodes_) node->shutdown();
+  }
+
   std::vector<std::unique_ptr<TcpTransport>> nodes_;
 };
 
@@ -132,7 +155,7 @@ class TransportConformanceTest : public ::testing::TestWithParam<FabricKind> {
     if (GetParam() == FabricKind::kSim) {
       return std::make_unique<SimFabric>(std::move(handlers));
     }
-    return std::make_unique<TcpFabric>(std::move(handlers));
+    return std::make_unique<TcpFabric>(handlers);
   }
 };
 
